@@ -36,7 +36,7 @@ impl LineState {
     }
 }
 
-#[derive(Clone, Debug)]
+#[derive(Clone, Copy, Debug)]
 struct Line {
     block: BlockAddr,
     state: LineState,
@@ -44,9 +44,14 @@ struct Line {
 }
 
 /// A set-associative cache over block addresses.
+///
+/// The lines live in one flat `num_sets × assoc` array: set `s` owns slots
+/// `s * assoc ..`, of which the first `lens[s]` are resident, in the order
+/// a push-and-swap-remove vector per set would keep them.
 #[derive(Clone, Debug)]
 pub struct Cache {
-    sets: Vec<Vec<Line>>,
+    lines: Vec<Line>,
+    lens: Vec<u32>,
     assoc: usize,
     block_bytes: u64,
     tick: u64,
@@ -56,9 +61,16 @@ impl Cache {
     pub fn new(cfg: &CacheConfig) -> Self {
         cfg.validate().expect("invalid cache config");
         let num_sets = cfg.num_sets() as usize;
+        let assoc = cfg.assoc as usize;
+        let empty = Line {
+            block: BlockAddr(0),
+            state: LineState::Shared,
+            last_use: 0,
+        };
         Cache {
-            sets: vec![Vec::with_capacity(cfg.assoc as usize); num_sets],
-            assoc: cfg.assoc as usize,
+            lines: vec![empty; num_sets * assoc],
+            lens: vec![0; num_sets],
+            assoc,
             block_bytes: cfg.block_bytes,
             tick: 0,
         }
@@ -66,7 +78,23 @@ impl Cache {
 
     #[inline]
     fn set_index(&self, block: BlockAddr) -> usize {
-        ((block.0 / self.block_bytes) % self.sets.len() as u64) as usize
+        ((block.0 / self.block_bytes) % self.lens.len() as u64) as usize
+    }
+
+    /// The resident lines of `block`'s set.
+    #[inline]
+    fn set(&self, block: BlockAddr) -> &[Line] {
+        let si = self.set_index(block);
+        let start = si * self.assoc;
+        &self.lines[start..start + self.lens[si] as usize]
+    }
+
+    /// [`Cache::set`], mutable, with the set's index.
+    #[inline]
+    fn set_mut(&mut self, block: BlockAddr) -> (&mut [Line], usize) {
+        let si = self.set_index(block);
+        let start = si * self.assoc;
+        (&mut self.lines[start..start + self.lens[si] as usize], si)
     }
 
     #[inline]
@@ -77,8 +105,7 @@ impl Cache {
 
     /// State of `block` if present; does not affect LRU order.
     pub fn peek(&self, block: BlockAddr) -> Option<LineState> {
-        let si = self.set_index(block);
-        self.sets[si]
+        self.set(block)
             .iter()
             .find(|l| l.block == block)
             .map(|l| l.state)
@@ -86,19 +113,20 @@ impl Cache {
 
     /// State of `block` if present, marking it most-recently-used.
     pub fn touch(&mut self, block: BlockAddr) -> Option<LineState> {
-        let si = self.set_index(block);
         let t = self.bump();
-        let set = &mut self.sets[si];
-        set.iter_mut().find(|l| l.block == block).map(|l| {
-            l.last_use = t;
-            l.state
-        })
+        self.set_mut(block)
+            .0
+            .iter_mut()
+            .find(|l| l.block == block)
+            .map(|l| {
+                l.last_use = t;
+                l.state
+            })
     }
 
     /// Overwrite the state of a present line; returns false if absent.
     pub fn set_state(&mut self, block: BlockAddr, state: LineState) -> bool {
-        let si = self.set_index(block);
-        match self.sets[si].iter_mut().find(|l| l.block == block) {
+        match self.set_mut(block).0.iter_mut().find(|l| l.block == block) {
             Some(l) => {
                 l.state = state;
                 true
@@ -109,48 +137,54 @@ impl Cache {
 
     /// Remove `block`; returns its state if it was present.
     pub fn invalidate(&mut self, block: BlockAddr) -> Option<LineState> {
-        let si = self.set_index(block);
-        let set = &mut self.sets[si];
-        set.iter()
-            .position(|l| l.block == block)
-            .map(|i| set.swap_remove(i).state)
+        let (set, si) = self.set_mut(block);
+        let i = set.iter().position(|l| l.block == block)?;
+        let state = set[i].state;
+        // Swap-remove: the set's last line fills the hole.
+        let last = set.len() - 1;
+        set.swap(i, last);
+        self.lens[si] -= 1;
+        Some(state)
     }
 
     /// Insert `block` with `state`, evicting the LRU victim of the set when
     /// full. Returns the victim `(block, state)` if one was displaced.
     /// Inserting an already-present block just updates state + LRU.
     pub fn insert(&mut self, block: BlockAddr, state: LineState) -> Option<(BlockAddr, LineState)> {
-        let si = self.set_index(block);
         let t = self.bump();
         let assoc = self.assoc;
-        let set = &mut self.sets[si];
+        let (set, si) = self.set_mut(block);
         if let Some(l) = set.iter_mut().find(|l| l.block == block) {
             l.state = state;
             l.last_use = t;
             return None;
         }
-        let victim = if set.len() == assoc {
+        let line = Line {
+            block,
+            state,
+            last_use: t,
+        };
+        if set.len() == assoc {
             let (vi, _) = set
                 .iter()
                 .enumerate()
                 .min_by_key(|(_, l)| l.last_use)
                 .expect("full set has a victim");
-            let v = set.swap_remove(vi);
-            Some((v.block, v.state))
-        } else {
-            None
-        };
-        set.push(Line {
-            block,
-            state,
-            last_use: t,
-        });
-        victim
+            let v = set[vi];
+            // Swap-remove the victim, then push the new line at the end.
+            set[vi] = set[assoc - 1];
+            set[assoc - 1] = line;
+            return Some((v.block, v.state));
+        }
+        let len = set.len();
+        self.lines[si * assoc + len] = line;
+        self.lens[si] += 1;
+        None
     }
 
     /// Number of resident lines.
     pub fn len(&self) -> usize {
-        self.sets.iter().map(|s| s.len()).sum()
+        self.lens.iter().map(|&n| n as usize).sum()
     }
 
     pub fn is_empty(&self) -> bool {
@@ -159,7 +193,11 @@ impl Cache {
 
     /// Iterate over resident `(block, state)` pairs (test/diagnostic use).
     pub fn iter(&self) -> impl Iterator<Item = (BlockAddr, LineState)> + '_ {
-        self.sets.iter().flatten().map(|l| (l.block, l.state))
+        self.lines
+            .chunks(self.assoc)
+            .zip(&self.lens)
+            .flat_map(|(set, &n)| &set[..n as usize])
+            .map(|l| (l.block, l.state))
     }
 
     /// Block size this cache was built with.
@@ -277,5 +315,141 @@ mod tests {
             got,
             vec![(blk(0x00), LineState::Shared), (blk(0x10), LineState::Excl)]
         );
+    }
+
+    /// The original cache, kept as the reference model: one `Vec` of lines
+    /// per set, swap-removed on eviction and invalidation.
+    struct VecCache {
+        sets: Vec<Vec<Line>>,
+        assoc: usize,
+        block_bytes: u64,
+        tick: u64,
+    }
+
+    impl VecCache {
+        fn new(cfg: &CacheConfig) -> Self {
+            VecCache {
+                sets: vec![Vec::new(); cfg.num_sets() as usize],
+                assoc: cfg.assoc as usize,
+                block_bytes: cfg.block_bytes,
+                tick: 0,
+            }
+        }
+
+        fn set(&mut self, block: BlockAddr) -> &mut Vec<Line> {
+            let si = ((block.0 / self.block_bytes) % self.sets.len() as u64) as usize;
+            &mut self.sets[si]
+        }
+
+        fn peek(&mut self, block: BlockAddr) -> Option<LineState> {
+            self.set(block)
+                .iter()
+                .find(|l| l.block == block)
+                .map(|l| l.state)
+        }
+
+        fn touch(&mut self, block: BlockAddr) -> Option<LineState> {
+            self.tick += 1;
+            let t = self.tick;
+            self.set(block)
+                .iter_mut()
+                .find(|l| l.block == block)
+                .map(|l| {
+                    l.last_use = t;
+                    l.state
+                })
+        }
+
+        fn set_state(&mut self, block: BlockAddr, state: LineState) -> bool {
+            self.set(block)
+                .iter_mut()
+                .find(|l| l.block == block)
+                .map(|l| l.state = state)
+                .is_some()
+        }
+
+        fn invalidate(&mut self, block: BlockAddr) -> Option<LineState> {
+            let set = self.set(block);
+            set.iter()
+                .position(|l| l.block == block)
+                .map(|i| set.swap_remove(i).state)
+        }
+
+        fn insert(&mut self, block: BlockAddr, state: LineState) -> Option<(BlockAddr, LineState)> {
+            self.tick += 1;
+            let (t, assoc) = (self.tick, self.assoc);
+            let set = self.set(block);
+            if let Some(l) = set.iter_mut().find(|l| l.block == block) {
+                l.state = state;
+                l.last_use = t;
+                return None;
+            }
+            let victim = (set.len() == assoc).then(|| {
+                let (vi, _) = set
+                    .iter()
+                    .enumerate()
+                    .min_by_key(|(_, l)| l.last_use)
+                    .unwrap();
+                let v = set.swap_remove(vi);
+                (v.block, v.state)
+            });
+            set.push(Line {
+                block,
+                state,
+                last_use: t,
+            });
+            victim
+        }
+
+        fn iter(&self) -> impl Iterator<Item = (BlockAddr, LineState)> + '_ {
+            self.sets.iter().flatten().map(|l| (l.block, l.state))
+        }
+    }
+
+    #[test]
+    fn flat_sets_match_the_vec_reference_model() {
+        const STATES: [LineState; 4] = [
+            LineState::Shared,
+            LineState::Excl,
+            LineState::ExclDirty,
+            LineState::Modified,
+        ];
+        ccsim_util::check::cases(64, |g| {
+            let cfg = CacheConfig {
+                size_bytes: *g.pick(&[64u64, 256, 1024]),
+                assoc: *g.pick(&[1u32, 2, 4]),
+                block_bytes: 16,
+                access_cycles: 1,
+            };
+            let mut flat = Cache::new(&cfg);
+            let mut reference = VecCache::new(&cfg);
+            // Three times the capacity in distinct blocks keeps sets full
+            // and victims frequent.
+            let span = 3 * cfg.size_bytes;
+            for step in 0..g.range(1, 500) {
+                let b = Addr(g.below(span)).block(16);
+                let state = *g.pick(&STATES);
+                let at = || format!("step {step} on {b}, {cfg:?}");
+                match g.below(8) {
+                    0 => assert_eq!(flat.peek(b), reference.peek(b), "{}", at()),
+                    1 | 2 => assert_eq!(flat.touch(b), reference.touch(b), "{}", at()),
+                    3 => assert_eq!(
+                        flat.set_state(b, state),
+                        reference.set_state(b, state),
+                        "{}",
+                        at()
+                    ),
+                    4 => assert_eq!(flat.invalidate(b), reference.invalidate(b), "{}", at()),
+                    _ => assert_eq!(
+                        flat.insert(b, state),
+                        reference.insert(b, state),
+                        "{}",
+                        at()
+                    ),
+                }
+            }
+            assert!(flat.iter().eq(reference.iter()), "resident lines, {cfg:?}");
+            assert_eq!(flat.len(), reference.iter().count());
+        });
     }
 }

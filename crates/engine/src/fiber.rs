@@ -16,23 +16,32 @@
 //! Panics inside a fiber are caught at the fiber trampoline and re-thrown
 //! on the scheduler's stack, so unwinding never crosses a context switch.
 //!
-//! Only x86_64 has a switch implementation today; [`supported`] reports
-//! availability and the runner falls back to the OS-thread backend
-//! elsewhere.
+//! Each fiber's stack is its own anonymous memory mapping with an
+//! inaccessible guard page below it: pages are committed only as the fiber
+//! first touches them, and an overflow faults (the process dies with
+//! `SIGSEGV`) instead of writing into neighbouring memory.
+//!
+//! Only x86_64 Unix has a switch and stack implementation today;
+//! [`supported`] reports availability and the runner falls back to the
+//! OS-thread backend elsewhere.
 
 use std::cell::Cell;
 use std::panic::AssertUnwindSafe;
 
 /// Is the fiber backend available on this target?
 pub const fn supported() -> bool {
-    cfg!(target_arch = "x86_64")
+    cfg!(all(target_arch = "x86_64", unix))
 }
 
 /// Default fiber stack size. Workload closures are ordinary Rust code
 /// (allocator, formatting machinery on panic paths, recursion in workload
-/// builders), so this is deliberately generous; it is virtual memory, and
-/// untouched pages cost nothing resident.
+/// builders), so this is deliberately generous. Each stack is a lazily
+/// committed mapping, so only the pages a fiber actually touches become
+/// resident.
 pub const DEFAULT_STACK_BYTES: usize = 1 << 20;
+
+/// Smallest stack [`FiberSet::spawn`] hands out.
+const MIN_STACK_BYTES: usize = 16 * 1024;
 
 /// Saved execution context: just the stack pointer. Everything else lives
 /// on the fiber's stack, pushed and popped by the switch primitive.
@@ -99,9 +108,9 @@ mod imp {
     /// `rsp % 16 == 8`, exactly the System V state at a function entry.
     ///
     /// # Safety
-    /// `stack` must outlive every switch into the returned context.
-    pub(super) unsafe fn init_stack(stack: &mut [u8], entry: extern "C" fn() -> !) -> u64 {
-        let top = stack.as_mut_ptr().add(stack.len());
+    /// `top` must be the writable upper end of a stack that outlives every
+    /// switch into the returned context.
+    pub(super) unsafe fn init_stack(top: *mut u8, entry: extern "C" fn() -> !) -> u64 {
         let mut p = ((top as u64) & !15) as *mut u64;
         // One padding slot so the entry address sits at `16k+8`: after the
         // six register pops and the `ret`, `rsp % 16 == 8` — the System V
@@ -119,6 +128,105 @@ mod imp {
     }
 }
 
+/// The mapping calls the stacks need, declared directly so the workspace
+/// stays free of external crates.
+mod sys {
+    use std::ffi::c_void;
+
+    pub const PROT_NONE: i32 = 0;
+    pub const PROT_READ: i32 = 1;
+    pub const PROT_WRITE: i32 = 2;
+    pub const MAP_PRIVATE: i32 = 0x02;
+    #[cfg(target_os = "linux")]
+    pub const MAP_ANONYMOUS: i32 = 0x20;
+    /// `MAP_ANON` on macOS and the BSDs.
+    #[cfg(not(target_os = "linux"))]
+    pub const MAP_ANONYMOUS: i32 = 0x1000;
+    pub const MAP_FAILED: *mut c_void = !0 as *mut c_void;
+    /// The x86_64 base page size.
+    pub const PAGE_BYTES: usize = 4096;
+
+    extern "C" {
+        pub fn mmap(
+            addr: *mut c_void,
+            len: usize,
+            prot: i32,
+            flags: i32,
+            fd: i32,
+            offset: i64,
+        ) -> *mut c_void;
+        pub fn mprotect(addr: *mut c_void, len: usize, prot: i32) -> i32;
+        pub fn munmap(addr: *mut c_void, len: usize) -> i32;
+    }
+}
+
+/// A fiber stack: an anonymous private mapping whose lowest page is an
+/// inaccessible guard. Nothing is committed until the fiber touches it,
+/// and the whole mapping is returned to the kernel on drop.
+struct Stack {
+    /// Start of the mapping (the guard page).
+    base: *mut u8,
+    /// Length of the mapping, guard page included.
+    len: usize,
+}
+
+impl Stack {
+    /// Map a stack with at least `bytes` usable bytes above its guard page.
+    fn new(bytes: usize) -> Stack {
+        // `CCSIM_STACK_BYTES` can ask for any size, so round up checked.
+        let Some(len) = bytes
+            .checked_next_multiple_of(sys::PAGE_BYTES)
+            .and_then(|usable| usable.checked_add(sys::PAGE_BYTES))
+        else {
+            panic!("fiber stack of {bytes} bytes overflows the address space");
+        };
+        // SAFETY: a fresh anonymous mapping at a kernel-chosen address
+        // aliases nothing, and the guard page lies inside it.
+        unsafe {
+            let base = sys::mmap(
+                std::ptr::null_mut(),
+                len,
+                sys::PROT_READ | sys::PROT_WRITE,
+                sys::MAP_PRIVATE | sys::MAP_ANONYMOUS,
+                -1,
+                0,
+            );
+            assert!(
+                base != sys::MAP_FAILED,
+                "fiber stack: mmap of {len} bytes failed: {}",
+                std::io::Error::last_os_error()
+            );
+            let guarded = sys::mprotect(base, sys::PAGE_BYTES, sys::PROT_NONE);
+            if guarded != 0 {
+                let err = std::io::Error::last_os_error();
+                sys::munmap(base, len);
+                panic!("fiber stack: guard page mprotect failed: {err}");
+            }
+            Stack {
+                base: base.cast(),
+                len,
+            }
+        }
+    }
+
+    /// One past the highest usable byte; stacks grow down from here.
+    fn top(&self) -> *mut u8 {
+        // SAFETY: `base + len` is one past the end of the mapping.
+        unsafe { self.base.add(self.len) }
+    }
+}
+
+impl Drop for Stack {
+    fn drop(&mut self) {
+        // SAFETY: `base`/`len` are exactly the mapping `new` created, and
+        // no fiber runs on it any more: a `FiberSet` drops its slots only
+        // from scheduler context.
+        unsafe {
+            sys::munmap(self.base.cast(), self.len);
+        }
+    }
+}
+
 thread_local! {
     /// The fiber currently executing on this thread (null in scheduler
     /// context). A raw pointer is sound here because a fiber only runs
@@ -129,9 +237,9 @@ thread_local! {
 struct FiberSlot {
     ctx: Context,
     sched: Context,
-    /// Owned stack memory; boxed slice so it never moves.
+    /// Owned stack mapping; it never moves, and unmaps with the slot.
     #[allow(dead_code)]
-    stack: Box<[u8]>,
+    stack: Stack,
     /// Entry closure, consumed by the trampoline on first resume.
     entry: Option<Box<dyn FnOnce()>>,
     /// Panic payload captured at the trampoline, if the fiber panicked.
@@ -210,10 +318,10 @@ impl FiberSet {
 
     /// Add a fiber that will run `entry` when first resumed.
     pub(crate) fn spawn(&mut self, stack_bytes: usize, entry: Box<dyn FnOnce()>) {
-        let mut stack = vec![0u8; stack_bytes.max(16 * 1024)].into_boxed_slice();
-        // Safety: the boxed stack lives in the slot alongside the context
-        // and is never reallocated.
-        let sp = unsafe { imp::init_stack(&mut stack, trampoline) };
+        let stack = Stack::new(stack_bytes.max(MIN_STACK_BYTES));
+        // SAFETY: the mapping lives in the slot alongside the context and
+        // is unmapped only when the slot is dropped.
+        let sp = unsafe { imp::init_stack(stack.top(), trampoline) };
         self.slots.push(Box::new(FiberSlot {
             ctx: Context { sp },
             sched: Context::default(),
@@ -256,7 +364,7 @@ impl FiberSet {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::cell::RefCell;
+    use std::cell::{Cell, RefCell};
     use std::rc::Rc;
 
     #[test]
@@ -338,5 +446,93 @@ mod tests {
             }),
         );
         assert_eq!(set.resume(0), Resumed::Finished);
+    }
+
+    /// Recurse until the current frame sits `bytes` below `top`, then
+    /// unwind; returns the number of frames that took.
+    fn dig(top: usize, bytes: usize, depth: u64) -> u64 {
+        let local = [depth; 16];
+        let here = std::hint::black_box(&local) as *const _ as usize;
+        if top - here >= bytes {
+            return depth;
+        }
+        // Using `local` after the call keeps the frame alive (no tail call).
+        dig(top, bytes, depth + 1).max(std::hint::black_box(local)[15])
+    }
+
+    /// Run `dig` to `bytes` of depth on a fresh fiber with a stack of
+    /// `stack_bytes`; returns the frame count.
+    fn dig_in_fiber(stack_bytes: usize, bytes: usize) -> u64 {
+        let frames = Rc::new(Cell::new(0));
+        let out = Rc::clone(&frames);
+        let mut set = FiberSet::new();
+        set.spawn(
+            stack_bytes,
+            Box::new(move || {
+                let top = 0u8;
+                let top = std::hint::black_box(&top) as *const u8 as usize;
+                out.set(dig(top, bytes, 0));
+            }),
+        );
+        assert_eq!(set.resume(0), Resumed::Finished);
+        assert!(set.take_panic(0).is_none());
+        frames.get()
+    }
+
+    #[test]
+    fn half_a_mebibyte_of_stack_is_usable() {
+        assert!(dig_in_fiber(DEFAULT_STACK_BYTES, 512 * 1024) > 0);
+    }
+
+    /// Set by [`stack_overflow_dies_with_sigsegv`] in the child it spawns.
+    const OVERFLOW_CHILD_ENV: &str = "CCSIM_FIBER_OVERFLOW_CHILD";
+
+    /// The child half of [`stack_overflow_dies_with_sigsegv`]: run twice
+    /// as deep as a minimum-size fiber stack allows, then return. A no-op
+    /// unless [`OVERFLOW_CHILD_ENV`] is set; returning at all with it set
+    /// means the overflow went undetected.
+    #[test]
+    fn overflow_child() {
+        if std::env::var_os(OVERFLOW_CHILD_ENV).is_none() {
+            return;
+        }
+        let mut set = FiberSet::new();
+        set.spawn(
+            MIN_STACK_BYTES,
+            Box::new(|| {
+                let top = 0u8;
+                let top = std::hint::black_box(&top) as *const u8 as usize;
+                std::hint::black_box(dig(top, 2 * MIN_STACK_BYTES, 0));
+            }),
+        );
+        // The next mapping usually lands directly below the first, so
+        // without a guard page the overflow would run into it silently.
+        set.spawn(MIN_STACK_BYTES, Box::new(|| {}));
+        set.resume(0);
+    }
+
+    #[cfg(unix)]
+    #[test]
+    fn stack_overflow_dies_with_sigsegv() {
+        use std::os::unix::process::ExitStatusExt;
+        const SIGSEGV: i32 = 11;
+        let exe = std::env::current_exe().expect("test binary path");
+        let out = std::process::Command::new(exe)
+            .args([
+                "fiber::tests::overflow_child",
+                "--exact",
+                "--test-threads=1",
+            ])
+            .env(OVERFLOW_CHILD_ENV, "1")
+            .output()
+            .expect("spawn the overflow child");
+        assert_eq!(
+            out.status.signal(),
+            Some(SIGSEGV),
+            "child exited with {:?}; stdout:\n{}\nstderr:\n{}",
+            out.status,
+            String::from_utf8_lossy(&out.stdout),
+            String::from_utf8_lossy(&out.stderr)
+        );
     }
 }

@@ -257,16 +257,6 @@ impl FalseSharingStats {
     }
 }
 
-#[derive(Clone, Debug, Default)]
-struct FsBlock {
-    /// Per node: words written by *other* nodes since this node lost its
-    /// copy (meaningless unless `lost_by_inval`).
-    foreign_writes: Vec<u64>,
-    /// Per node: the copy was taken away by an invalidation (as opposed to
-    /// replaced for capacity/conflict reasons, or never held).
-    lost_by_inval: Vec<bool>,
-}
-
 /// Word-granularity false-sharing classifier (Table 4).
 ///
 /// Approximation of Dubois et al.'s "useless misses": a miss caused by a
@@ -275,80 +265,82 @@ struct FsBlock {
 /// looks ahead to words touched during the new lifetime; the first-access
 /// approximation is standard in protocol studies and errs conservatively in
 /// the same direction for all three protocols.)
+///
+/// Per block the state is node *masks* (nodes are capped at 64, as in the
+/// directory's sharer set), laid out flat in one [`Slab`]: first the nodes
+/// whose copy an invalidation took away, then for each word the nodes for
+/// which another node has written that word. A store sets one word's mask
+/// whatever the node count; an invalidation clears the node's bit in every
+/// word mask, so a node's bits only ever describe writes since its copy
+/// was lost, which is the only time a miss reads them.
 pub struct FalseSharing {
-    nodes: usize,
     block_bytes: u64,
-    blocks: Slab<FsBlock>,
+    /// Slab entries per block: the lost-copy mask plus one mask per word.
+    stride: usize,
+    state: Slab<u64>,
     stats: FalseSharingStats,
 }
 
 impl FalseSharing {
     pub fn new(nodes: u16, block_bytes: u64) -> Self {
         assert!(block_bytes.is_power_of_two() && block_bytes > 0);
+        assert!(nodes <= 64, "false-sharing masks hold at most 64 nodes");
         FalseSharing {
-            nodes: nodes as usize,
             block_bytes,
-            blocks: Slab::new(),
+            stride: 1 + block_bytes.div_ceil(ccsim_types::WORD_BYTES) as usize,
+            state: Slab::new(),
             stats: FalseSharingStats::default(),
         }
     }
 
-    fn block(&mut self, b: BlockAddr) -> &mut FsBlock {
-        let n = self.nodes;
-        let e = self.blocks.entry((b.0 / self.block_bytes) as usize);
-        // A default-initialized slab entry has empty per-node vectors; size
-        // them on the block's first touch.
-        if e.foreign_writes.is_empty() {
-            e.foreign_writes = vec![0; n];
-            e.lost_by_inval = vec![false; n];
-        }
-        e
+    /// Slab index of `b`'s lost-copy mask; its word masks follow it.
+    fn lost(&self, b: BlockAddr) -> usize {
+        (b.0 / self.block_bytes) as usize * self.stride
+    }
+
+    /// Slab index of the mask of nodes for which `addr`'s word was written
+    /// remotely.
+    fn word(&self, b: BlockAddr, addr: ccsim_types::Addr) -> usize {
+        debug_assert_eq!(addr.block(self.block_bytes), b);
+        self.lost(b) + 1 + addr.word_in_block(self.block_bytes) as usize
     }
 
     /// Every store (global or silent) by `writer` to `addr`.
-    // ccsim-lint: allow(panic-path): sharer-word indices are sized from the node count the oracle was built with
     pub fn on_store(&mut self, b: BlockAddr, addr: ccsim_types::Addr, writer: NodeId) {
-        let mask = b.word_mask(addr, self.block_bytes);
-        let e = self.block(b);
-        for n in 0..e.foreign_writes.len() {
-            if n != writer.idx() {
-                e.foreign_writes[n] |= mask;
-            }
-        }
+        let i = self.word(b, addr);
+        *self.state.entry(i) |= !(1u64 << writer.idx());
     }
 
     /// `node`'s cached copy was invalidated by the coherence protocol.
-    // ccsim-lint: allow(panic-path): sharer-word indices are sized from the node count the oracle was built with
     pub fn on_invalidated(&mut self, b: BlockAddr, node: NodeId) {
-        let e = self.block(b);
-        e.lost_by_inval[node.idx()] = true;
-        e.foreign_writes[node.idx()] = 0;
+        let bit = 1u64 << node.idx();
+        let lost = self.lost(b);
+        *self.state.entry(lost) |= bit;
+        for i in lost + 1..lost + self.stride {
+            *self.state.entry(i) &= !bit;
+        }
     }
 
     /// `node` replaced its copy for capacity/conflict reasons.
-    // ccsim-lint: allow(panic-path): sharer-word indices are sized from the node count the oracle was built with
     pub fn on_replaced(&mut self, b: BlockAddr, node: NodeId) {
-        let e = self.block(b);
-        e.lost_by_inval[node.idx()] = false;
+        let lost = self.lost(b);
+        *self.state.entry(lost) &= !(1u64 << node.idx());
     }
 
     /// `node` missed globally on `addr`; classify the miss.
-    // ccsim-lint: allow(panic-path): sharer-word indices are sized from the node count the oracle was built with
     pub fn on_miss(&mut self, b: BlockAddr, addr: ccsim_types::Addr, node: NodeId) {
-        let mask = b.word_mask(addr, self.block_bytes);
-        let e = self.block(b);
-        if e.lost_by_inval[node.idx()] {
-            if e.foreign_writes[node.idx()] & mask != 0 {
-                self.stats.true_sharing += 1;
-            } else {
-                self.stats.false_sharing += 1;
-            }
-        } else {
+        let bit = 1u64 << node.idx();
+        let lost = self.lost(b);
+        if self.state.load(lost) & bit == 0 {
             self.stats.cold_or_capacity += 1;
+            return;
         }
-        let e = self.block(b);
-        e.lost_by_inval[node.idx()] = false;
-        e.foreign_writes[node.idx()] = 0;
+        if self.state.load(self.word(b, addr)) & bit != 0 {
+            self.stats.true_sharing += 1;
+        } else {
+            self.stats.false_sharing += 1;
+        }
+        *self.state.entry(lost) &= !bit;
     }
 
     pub fn stats(&self) -> &FalseSharingStats {
@@ -536,5 +528,104 @@ mod tests {
         f.on_miss(b, Addr(0), P0); // immediately again: cold/capacity bucket
         assert_eq!(f.stats().true_sharing, 1);
         assert_eq!(f.stats().cold_or_capacity, 2);
+    }
+
+    /// The original tracker, kept as the reference model: per block, one
+    /// `Vec` of foreign-written word masks and one of lost-copy flags,
+    /// indexed by node.
+    struct VecFalseSharing {
+        nodes: usize,
+        block_bytes: u64,
+        blocks: std::collections::BTreeMap<u64, (Vec<u64>, Vec<bool>)>,
+        stats: FalseSharingStats,
+    }
+
+    impl VecFalseSharing {
+        fn new(nodes: u16, block_bytes: u64) -> Self {
+            VecFalseSharing {
+                nodes: nodes as usize,
+                block_bytes,
+                blocks: Default::default(),
+                stats: FalseSharingStats::default(),
+            }
+        }
+
+        fn block(&mut self, b: BlockAddr) -> &mut (Vec<u64>, Vec<bool>) {
+            let n = self.nodes;
+            self.blocks
+                .entry(b.0)
+                .or_insert_with(|| (vec![0; n], vec![false; n]))
+        }
+
+        fn on_store(&mut self, b: BlockAddr, addr: Addr, writer: NodeId) {
+            let mask = b.word_mask(addr, self.block_bytes);
+            let (foreign, _) = self.block(b);
+            for (n, f) in foreign.iter_mut().enumerate() {
+                if n != writer.idx() {
+                    *f |= mask;
+                }
+            }
+        }
+
+        fn on_invalidated(&mut self, b: BlockAddr, node: NodeId) {
+            let (foreign, lost) = self.block(b);
+            lost[node.idx()] = true;
+            foreign[node.idx()] = 0;
+        }
+
+        fn on_replaced(&mut self, b: BlockAddr, node: NodeId) {
+            self.block(b).1[node.idx()] = false;
+        }
+
+        fn on_miss(&mut self, b: BlockAddr, addr: Addr, node: NodeId) {
+            let mask = b.word_mask(addr, self.block_bytes);
+            let (foreign, lost) = self.block(b);
+            let was_lost = std::mem::take(&mut lost[node.idx()]);
+            let written = std::mem::take(&mut foreign[node.idx()]) & mask != 0;
+            match (was_lost, written) {
+                (false, _) => self.stats.cold_or_capacity += 1,
+                (true, true) => self.stats.true_sharing += 1,
+                (true, false) => self.stats.false_sharing += 1,
+            }
+        }
+    }
+
+    #[test]
+    fn flat_tracker_matches_the_vec_reference_model() {
+        ccsim_util::check::cases(64, |g| {
+            let nodes = *g.pick(&[2u16, 4, 32, 64]);
+            let block_bytes = *g.pick(&[8u64, 16, 32, 64]);
+            let blocks = g.range(1, 5);
+            let mut flat = FalseSharing::new(nodes, block_bytes);
+            let mut reference = VecFalseSharing::new(nodes, block_bytes);
+            for step in 0..g.range(1, 400) {
+                let addr = Addr(g.below(blocks * block_bytes));
+                let b = addr.block(block_bytes);
+                let node = NodeId(g.below(nodes as u64) as u16);
+                match g.below(4) {
+                    0 => {
+                        flat.on_store(b, addr, node);
+                        reference.on_store(b, addr, node);
+                    }
+                    1 => {
+                        flat.on_invalidated(b, node);
+                        reference.on_invalidated(b, node);
+                    }
+                    2 => {
+                        flat.on_replaced(b, node);
+                        reference.on_replaced(b, node);
+                    }
+                    _ => {
+                        flat.on_miss(b, addr, node);
+                        reference.on_miss(b, addr, node);
+                    }
+                }
+                assert_eq!(
+                    *flat.stats(),
+                    reference.stats,
+                    "step {step}: {nodes} nodes, {block_bytes}-byte blocks"
+                );
+            }
+        });
     }
 }

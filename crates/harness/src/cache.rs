@@ -245,28 +245,51 @@ fn store(dir: &Path, key: &str, stats: &RunStats) -> std::io::Result<()> {
     std::fs::rename(&tmp, entry_path(dir, key))
 }
 
+/// How one cached run was answered.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) enum Lookup {
+    /// Read from disk.
+    Hit,
+    /// Simulated because no valid entry existed; `stored` if the result
+    /// was written back.
+    Miss { stored: bool },
+    /// Simulated because the cache was off.
+    Bypass,
+}
+
 /// Run one workload through the cache at an explicit mode and directory
 /// (the form tests use — no environment reads, no races).
 pub fn run_cached_at(cfg: MachineConfig, spec: &Spec, mode: CacheMode, dir: &Path) -> RunStats {
+    run_cached_outcome(cfg, spec, mode, dir).0
+}
+
+/// [`run_cached_at`], also reporting how this call was answered. The
+/// process-wide counters add up every call's outcome; tests assert on the
+/// outcome itself, which concurrent callers cannot disturb.
+pub(crate) fn run_cached_outcome(
+    cfg: MachineConfig,
+    spec: &Spec,
+    mode: CacheMode,
+    dir: &Path,
+) -> (RunStats, Lookup) {
     if mode == CacheMode::Off {
         BYPASSES.fetch_add(1, Ordering::Relaxed);
-        return run_spec(cfg, spec);
+        return (run_spec(cfg, spec), Lookup::Bypass);
     }
     let key = run_key(&cfg, spec);
     if let Some(stats) = load(dir, &key) {
         HITS.fetch_add(1, Ordering::Relaxed);
-        return stats;
+        return (stats, Lookup::Hit);
     }
     MISSES.fetch_add(1, Ordering::Relaxed);
     let stats = run_spec(cfg, spec);
-    if mode == CacheMode::ReadWrite {
-        // A failed store (read-only filesystem, disk full) costs only the
-        // memoization, not the result.
-        if store(dir, &key, &stats).is_ok() {
-            STORES.fetch_add(1, Ordering::Relaxed);
-        }
+    // A failed store (read-only filesystem, disk full) costs only the
+    // memoization, not the result.
+    let stored = mode == CacheMode::ReadWrite && store(dir, &key, &stats).is_ok();
+    if stored {
+        STORES.fetch_add(1, Ordering::Relaxed);
     }
-    stats
+    (stats, Lookup::Miss { stored })
 }
 
 /// Run one workload through the cache, honouring `CCSIM_CACHE` and
@@ -312,12 +335,11 @@ mod tests {
         let dir = temp_dir("hit");
         let cfg = MachineConfig::splash_baseline(ProtocolKind::Baseline);
         let spec = tiny_spec();
-        let before = CacheStats::snapshot();
-        let fresh = run_cached_at(cfg, &spec, CacheMode::ReadWrite, &dir);
-        let cached = run_cached_at(cfg, &spec, CacheMode::ReadWrite, &dir);
-        let d = CacheStats::snapshot().since(&before);
+        let (fresh, first) = run_cached_outcome(cfg, &spec, CacheMode::ReadWrite, &dir);
+        let (cached, second) = run_cached_outcome(cfg, &spec, CacheMode::ReadWrite, &dir);
         assert_eq!(cached, fresh);
-        assert_eq!((d.hits, d.misses, d.stores), (1, 1, 1));
+        assert_eq!(first, Lookup::Miss { stored: true });
+        assert_eq!(second, Lookup::Hit);
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -326,11 +348,10 @@ mod tests {
         let dir = temp_dir("ro");
         let cfg = MachineConfig::splash_baseline(ProtocolKind::Ls);
         let spec = tiny_spec();
-        let before = CacheStats::snapshot();
-        run_cached_at(cfg, &spec, CacheMode::ReadOnly, &dir);
-        run_cached_at(cfg, &spec, CacheMode::ReadOnly, &dir);
-        let d = CacheStats::snapshot().since(&before);
-        assert_eq!((d.misses, d.stores), (2, 0));
+        for _ in 0..2 {
+            let (_, lookup) = run_cached_outcome(cfg, &spec, CacheMode::ReadOnly, &dir);
+            assert_eq!(lookup, Lookup::Miss { stored: false });
+        }
         assert!(!entry_path(&dir, &run_key(&cfg, &spec)).exists());
         let _ = std::fs::remove_dir_all(&dir);
     }
@@ -340,11 +361,25 @@ mod tests {
         let dir = temp_dir("off");
         let cfg = MachineConfig::splash_baseline(ProtocolKind::Ad);
         let spec = tiny_spec();
+        let (_, lookup) = run_cached_outcome(cfg, &spec, CacheMode::Off, &dir);
+        assert_eq!(lookup, Lookup::Bypass);
+        assert!(!dir.exists());
+    }
+
+    #[test]
+    fn counters_count_every_outcome() {
+        // Tests run concurrently and share the process-wide counters, so
+        // the deltas are lower bounds.
+        let dir = temp_dir("counters");
+        let cfg = MachineConfig::splash_baseline(ProtocolKind::Ls);
+        let spec = tiny_spec();
         let before = CacheStats::snapshot();
         run_cached_at(cfg, &spec, CacheMode::Off, &dir);
+        run_cached_at(cfg, &spec, CacheMode::ReadWrite, &dir);
+        run_cached_at(cfg, &spec, CacheMode::ReadWrite, &dir);
         let d = CacheStats::snapshot().since(&before);
-        assert_eq!((d.hits, d.misses, d.bypasses), (0, 0, 1));
-        assert!(!dir.exists());
+        assert!(d.bypasses >= 1 && d.misses >= 1 && d.stores >= 1 && d.hits >= 1);
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
@@ -355,10 +390,8 @@ mod tests {
         let key = run_key(&cfg, &spec);
         std::fs::create_dir_all(&dir).unwrap();
         std::fs::write(entry_path(&dir, &key), "{ not json").unwrap();
-        let before = CacheStats::snapshot();
-        let stats = run_cached_at(cfg, &spec, CacheMode::ReadWrite, &dir);
-        let d = CacheStats::snapshot().since(&before);
-        assert_eq!((d.hits, d.misses, d.stores), (0, 1, 1));
+        let (stats, lookup) = run_cached_outcome(cfg, &spec, CacheMode::ReadWrite, &dir);
+        assert_eq!(lookup, Lookup::Miss { stored: true });
         // The corrupt entry was sidelined for inspection, not overwritten
         // blindly, and the healed entry now round-trips.
         assert!(quarantine_path(&dir, &key).exists());

@@ -1,12 +1,13 @@
 //! A set of independent simulation jobs fanned across a bounded worker
 //! pool, with deterministic result ordering.
 //!
-//! Each simulation run already spawns one OS thread per simulated processor
-//! and serializes them under the engine lock, so a run occupies roughly one
-//! core regardless of its node count — but its *threads* all exist at once.
-//! The pool budget therefore divides the host's cores by the widest job's
-//! processor count, keeping the total live-thread count bounded while still
-//! running independent experiments concurrently.
+//! A run on the default fiber backend drives every simulated processor
+//! from one OS thread, so it occupies one core whatever its node count, and
+//! the pool runs one job per host core. The portable thread backend
+//! ([`EngineKind::Threads`]) still spawns one OS thread per simulated
+//! processor, all alive at once; under it the budget divides the host's
+//! cores by the widest job's processor count, keeping the total
+//! live-thread count bounded.
 //!
 //! Results come back in submission order no matter which worker finished
 //! first, and every job goes through the run cache, so a `JobSet` is a
@@ -16,7 +17,7 @@
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
 
-use ccsim_engine::RunStats;
+use ccsim_engine::{EngineKind, RunStats};
 use ccsim_types::{MachineConfig, ProtocolKind};
 use ccsim_workloads::Spec;
 
@@ -67,9 +68,11 @@ pub(crate) fn panic_detail(payload: Box<dyn std::any::Any + Send>) -> String {
     }
 }
 
-/// Worker budget for jobs that each spawn `procs_per_run` simulated
-/// processors: host cores divided by that width, at least 1. The
-/// `CCSIM_JOBS` environment variable overrides the result (0 is ignored).
+/// Worker budget for jobs that each simulate `procs_per_run` processors:
+/// the host's cores under the fiber backend, where a run is one OS thread;
+/// under the thread backend, host cores divided by that width, at least 1.
+/// The `CCSIM_JOBS` environment variable overrides the result (0 is
+/// ignored).
 pub fn default_workers(procs_per_run: usize) -> usize {
     if let Some(n) = std::env::var("CCSIM_JOBS")
         .ok()
@@ -82,7 +85,16 @@ pub fn default_workers(procs_per_run: usize) -> usize {
     let host = std::thread::available_parallelism()
         .map(|n| n.get())
         .unwrap_or(1);
-    (host / procs_per_run.max(1)).max(1)
+    budget(EngineKind::from_env(), host, procs_per_run)
+}
+
+/// [`default_workers`] without the environment: how many runs of
+/// `procs_per_run` processors fit `host` cores under `engine`.
+fn budget(engine: EngineKind, host: usize, procs_per_run: usize) -> usize {
+    match engine {
+        EngineKind::Fiber => host,
+        EngineKind::Threads => (host / procs_per_run.max(1)).max(1),
+    }
 }
 
 /// An ordered batch of independent simulation jobs.
@@ -125,8 +137,8 @@ impl JobSet {
         self.jobs.is_empty()
     }
 
-    /// The environment-configured worker budget for this batch: host cores
-    /// divided by the widest job's node count.
+    /// The environment-configured worker budget for this batch, sized by
+    /// the widest job's node count (see [`default_workers`]).
     fn env_workers(&self) -> usize {
         let widest = self
             .jobs
@@ -270,6 +282,15 @@ mod tests {
                 .len(),
             0
         );
+    }
+
+    #[test]
+    fn fiber_runs_get_a_core_each_whatever_their_width() {
+        assert_eq!(budget(EngineKind::Fiber, 2, 32), 2);
+        assert_eq!(budget(EngineKind::Fiber, 8, 4), 8);
+        assert_eq!(budget(EngineKind::Threads, 8, 4), 2);
+        assert_eq!(budget(EngineKind::Threads, 2, 32), 1);
+        assert_eq!(budget(EngineKind::Threads, 2, 0), 2);
     }
 
     #[test]

@@ -1,18 +1,18 @@
 //! Parallel experiment harness: a bounded worker-pool [`JobSet`] plus a
 //! content-addressed on-disk run cache.
 //!
-//! The simulator is *internally* parallel (one OS thread per simulated
-//! processor) but fully deterministic: the engine admits exactly one
-//! simulated processor at a time, chosen from simulated state alone, so a
-//! `(MachineConfig, Spec)` pair always produces bit-for-bit identical
-//! [`RunStats`](ccsim_engine::RunStats). Two consequences this crate
-//! exploits:
+//! The simulator is fully deterministic: the engine admits exactly one
+//! simulated processor at a time, chosen from simulated state alone (on
+//! the default fiber backend all of a run's processors share one OS
+//! thread), so a `(MachineConfig, Spec)` pair always produces bit-for-bit
+//! identical [`RunStats`](ccsim_engine::RunStats). Two consequences this
+//! crate exploits:
 //!
 //! 1. **Independent runs are embarrassingly parallel.** A figure needs the
 //!    same workload under Baseline/AD/LS, a sweep needs many cache sizes —
 //!    none of those runs communicate. [`JobSet`] fans them out across a
-//!    bounded pool of OS threads (budget: host cores divided by the threads
-//!    each run spawns itself) and returns results in submission order.
+//!    bounded pool of OS threads (budget: one run per host core, see
+//!    [`default_workers`]) and returns results in submission order.
 //! 2. **Results are pure functions of their inputs.** [`cache`] memoizes
 //!    `RunStats` on disk, keyed by a stable hash of the serialized config +
 //!    spec + a crate-version salt. A warm cache replays an entire

@@ -8,10 +8,13 @@
 //! worker count; only wall-clock does.
 //!
 //! Work distribution is a single atomic counter (work stealing by index):
-//! whichever worker is free claims the next index. With `workers <= 1` (or
-//! `n <= 1`) everything runs inline on the caller's thread — the degenerate
-//! pool has zero thread overhead and identical results, which is what makes
-//! `threads=1` vs `threads=N` comparisons exact.
+//! whichever worker is free claims the next index. The calling thread is
+//! worker 0 and only `workers - 1` threads are spawned, so the caller does
+//! not sit idle while each extra thread opens its own allocator arena.
+//! With `workers <= 1` (or `n <= 1`) everything runs inline on the caller's
+//! thread — the degenerate pool has zero thread overhead and identical
+//! results, which is what makes `threads=1` vs `threads=N` comparisons
+//! exact.
 //!
 //! Panics in a task propagate to the caller (re-raised when the scope
 //! joins), they are not swallowed; callers that want per-task fault
@@ -20,7 +23,8 @@
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
-/// Run `f(0..n)` across at most `workers` threads; `out[i] == f(i)`.
+/// Run `f(0..n)` across at most `workers` threads, the caller's included;
+/// `out[i] == f(i)`.
 pub fn run_indexed<T, F>(workers: usize, n: usize, f: F) -> Vec<T>
 where
     T: Send,
@@ -35,17 +39,19 @@ where
     }
     let next = AtomicUsize::new(0);
     let results: Mutex<Vec<Option<T>>> = Mutex::new((0..n).map(|_| None).collect());
-    std::thread::scope(|s| {
-        for _ in 0..workers {
-            s.spawn(|| loop {
-                let i = next.fetch_add(1, Ordering::Relaxed);
-                if i >= n {
-                    break;
-                }
-                let r = f(i);
-                results.lock().unwrap_or_else(|e| e.into_inner())[i] = Some(r);
-            });
+    let work = || loop {
+        let i = next.fetch_add(1, Ordering::Relaxed);
+        if i >= n {
+            break;
         }
+        let r = f(i);
+        results.lock().unwrap_or_else(|e| e.into_inner())[i] = Some(r);
+    };
+    std::thread::scope(|s| {
+        for _ in 1..workers {
+            s.spawn(work);
+        }
+        work();
     });
     results
         .into_inner()
@@ -102,6 +108,20 @@ mod tests {
     fn empty_and_single() {
         assert_eq!(run_indexed(8, 0, |i| i), Vec::<usize>::new());
         assert_eq!(run_indexed(8, 1, |i| i + 7), vec![7]);
+    }
+
+    #[test]
+    fn caller_thread_is_worker_zero() {
+        // Each task waits until `workers` tasks run at once, which needs
+        // the caller plus exactly `workers - 1` spawned threads.
+        let workers = 3;
+        let barrier = std::sync::Barrier::new(workers);
+        let ids = run_indexed(workers, workers, |_| {
+            barrier.wait();
+            std::thread::current().id()
+        });
+        assert!(ids.contains(&std::thread::current().id()));
+        assert!((0..workers).all(|i| !ids[..i].contains(&ids[i])));
     }
 
     #[test]
