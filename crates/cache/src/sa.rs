@@ -54,6 +54,11 @@ pub struct Cache {
     lens: Vec<u32>,
     assoc: usize,
     block_bytes: u64,
+    /// `log2(block_bytes)`: the shift from a block address to its number.
+    block_shift: u32,
+    /// `num_sets - 1`; the set count is a power of two because the size,
+    /// block size and associativity all are.
+    set_mask: u64,
     tick: u64,
 }
 
@@ -72,13 +77,15 @@ impl Cache {
             lens: vec![0; num_sets],
             assoc,
             block_bytes: cfg.block_bytes,
+            block_shift: cfg.block_bytes.trailing_zeros(),
+            set_mask: num_sets as u64 - 1,
             tick: 0,
         }
     }
 
     #[inline]
     fn set_index(&self, block: BlockAddr) -> usize {
-        ((block.0 / self.block_bytes) % self.lens.len() as u64) as usize
+        ((block.0 >> self.block_shift) & self.set_mask) as usize
     }
 
     /// The resident lines of `block`'s set.

@@ -28,6 +28,8 @@ use ccsim_util::Slab;
 pub struct DirTable {
     cfg: ProtocolConfig,
     block_bytes: u64,
+    /// `log2(block_bytes)`: the shift from a block address to its index.
+    block_shift: u32,
     entries: Slab<Option<DirEntry>>,
     stats: Vec<DirStats>,
 }
@@ -38,6 +40,7 @@ impl DirTable {
         DirTable {
             cfg,
             block_bytes,
+            block_shift: block_bytes.trailing_zeros(),
             entries: Slab::new(),
             stats: vec![DirStats::default(); homes.max(1) as usize],
         }
@@ -50,7 +53,7 @@ impl DirTable {
     /// Block index of `block` in the dense slab.
     #[inline]
     pub fn index(&self, block: BlockAddr) -> usize {
-        (block.0 / self.block_bytes) as usize
+        (block.0 >> self.block_shift) as usize
     }
 
     /// Statistics accumulated for blocks homed at `home`.
@@ -69,8 +72,7 @@ impl DirTable {
 
     /// Inspect a block's entry (tests/diagnostics); `None` = never touched.
     pub fn entry(&self, block: BlockAddr) -> Option<&DirEntry> {
-        let i = (block.0 / self.block_bytes) as usize;
-        self.entries.get(i).and_then(|e| e.as_ref())
+        self.entries.get(self.index(block)).and_then(|e| e.as_ref())
     }
 
     /// Figure 1 state of a block (untouched blocks are Uncached).
@@ -153,15 +155,10 @@ impl DirTable {
     // ccsim-lint: allow(panic-path): the per-home set index is bounded by the geometry DirTable::new validated
     pub fn replacement(&mut self, home: NodeId, block: BlockAddr, node: NodeId) {
         let i = self.index(block);
-        if self.entries.get(i).is_none_or(|s| s.is_none()) {
-            return; // untouched block: nothing to evict, don't materialize
-        }
-        let e = self
-            .entries
-            .entry(i)
-            .as_mut()
-            // ccsim-lint: allow(unwrap): presence checked just above
-            .expect("entry present");
+        // An untouched block has nothing to evict; don't materialize it.
+        let Some(Some(e)) = self.entries.get_mut(i) else {
+            return;
+        };
         rules::replacement(&self.cfg, &mut self.stats[home.idx()], e, node);
     }
 

@@ -17,10 +17,12 @@
 //! * [`oracle`] — ground-truth classifiers that run alongside the protocol:
 //!   load-store-sequence and migratory-sharing detection (Tables 2 & 3) and
 //!   word-granular false-sharing classification (Table 4).
-//! * [`run`] — the deterministic threaded runner: each simulated processor
-//!   executes a real Rust closure whose every memory access traps into the
-//!   engine; processors interleave in simulated-time order (conservative
-//!   time-sliced execution), so results are bit-for-bit reproducible.
+//! * [`run`] — the deterministic runner: each simulated processor
+//!   executes a real Rust closure (a fiber by default, an OS thread on the
+//!   reference backend) whose every memory access traps into the engine;
+//!   processors interleave in simulated-time order (conservative
+//!   time-sliced execution), picked by an O(1) run queue, so results are
+//!   bit-for-bit reproducible.
 //! * [`stats::RunStats`] — everything a figure or table needs: execution
 //!   time split (busy / read stall / write stall), traffic by class, global
 //!   read misses by home state, ownership statistics, oracle counters.
@@ -44,6 +46,7 @@ pub mod machine;
 pub mod oracle;
 pub mod parallel;
 pub mod run;
+mod runqueue;
 pub mod shard;
 pub mod stats;
 pub mod trace;

@@ -63,6 +63,9 @@ enum Acquire {
 /// The simulated multiprocessor.
 pub struct Machine {
     cfg: MachineConfig,
+    /// `log2` of the coherence block size: the shift from a block address
+    /// to its dense index.
+    block_shift: u32,
     store: Store,
     net: Network,
     /// All home directories in one dense table (statistics stay split by
@@ -117,6 +120,7 @@ impl Machine {
             events: None,
             #[cfg(feature = "testing")]
             stale_requests: std::collections::VecDeque::new(),
+            block_shift: cfg.block_bytes().trailing_zeros(),
             cfg,
         })
     }
@@ -200,7 +204,7 @@ impl Machine {
     /// busy-window slab).
     #[inline]
     fn block_index(&self, block: BlockAddr) -> usize {
-        (block.0 / self.cfg.block_bytes()) as usize
+        (block.0 >> self.block_shift) as usize
     }
 
     /// Directly read a word (no coherence action; used by the runner to

@@ -161,7 +161,8 @@ struct BlockTrack {
 /// Runs on every global action, so its per-block records live in a dense
 /// [`Slab`] indexed by block index rather than a hash map.
 pub struct LsOracle {
-    block_bytes: u64,
+    /// `log2(block_bytes)`: the shift from a block address to its index.
+    block_shift: u32,
     blocks: Slab<BlockTrack>,
     stats: OracleStats,
 }
@@ -170,14 +171,14 @@ impl LsOracle {
     pub fn new(block_bytes: u64) -> Self {
         assert!(block_bytes.is_power_of_two() && block_bytes > 0);
         LsOracle {
-            block_bytes,
+            block_shift: block_bytes.trailing_zeros(),
             blocks: Slab::new(),
             stats: OracleStats::default(),
         }
     }
 
     fn track(&mut self, b: BlockAddr) -> &mut BlockTrack {
-        self.blocks.entry((b.0 / self.block_bytes) as usize)
+        self.blocks.entry((b.0 >> self.block_shift) as usize)
     }
 
     /// A global read action by `p` reached the home.
@@ -275,6 +276,8 @@ impl FalseSharingStats {
 /// was lost, which is the only time a miss reads them.
 pub struct FalseSharing {
     block_bytes: u64,
+    /// `log2(block_bytes)`: the shift from a block address to its index.
+    block_shift: u32,
     /// Slab entries per block: the lost-copy mask plus one mask per word.
     stride: usize,
     state: Slab<u64>,
@@ -287,6 +290,7 @@ impl FalseSharing {
         assert!(nodes <= 64, "false-sharing masks hold at most 64 nodes");
         FalseSharing {
             block_bytes,
+            block_shift: block_bytes.trailing_zeros(),
             stride: 1 + block_bytes.div_ceil(ccsim_types::WORD_BYTES) as usize,
             state: Slab::new(),
             stats: FalseSharingStats::default(),
@@ -295,7 +299,7 @@ impl FalseSharing {
 
     /// Slab index of `b`'s lost-copy mask; its word masks follow it.
     fn lost(&self, b: BlockAddr) -> usize {
-        (b.0 / self.block_bytes) as usize * self.stride
+        (b.0 >> self.block_shift) as usize * self.stride
     }
 
     /// Slab index of the mask of nodes for which `addr`'s word was written
@@ -323,8 +327,11 @@ impl FalseSharing {
 
     /// `node` replaced its copy for capacity/conflict reasons.
     pub fn on_replaced(&mut self, b: BlockAddr, node: NodeId) {
-        let lost = self.lost(b);
-        *self.state.entry(lost) &= !(1u64 << node.idx());
+        // An untouched block's mask is still all zero: nothing to clear,
+        // so leave its page unmaterialized.
+        if let Some(lost) = self.state.get_mut(self.lost(b)) {
+            *lost &= !(1u64 << node.idx());
+        }
     }
 
     /// `node` missed globally on `addr`; classify the miss.
@@ -504,6 +511,16 @@ mod tests {
         f.on_store(b, Addr(0), P1);
         f.on_miss(b, Addr(0), P0);
         assert_eq!(f.stats().cold_or_capacity, 2);
+    }
+
+    #[test]
+    fn replacing_an_untouched_block_commits_no_page() {
+        let mut f = FalseSharing::new(2, 32);
+        f.on_replaced(blk(0), P0);
+        f.on_replaced(blk(1 << 30), P1);
+        assert_eq!(f.state.pages_committed(), 0);
+        f.on_miss(blk(0), Addr(0), P0);
+        assert_eq!(f.stats().cold_or_capacity, 1);
     }
 
     #[test]

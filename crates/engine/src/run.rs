@@ -8,6 +8,14 @@
 //! lowest-clock-first order). Host scheduling therefore cannot influence
 //! results — runs are bit-for-bit reproducible.
 //!
+//! The window of the minimum active clock `min` is `[min / q * q, min / q *
+//! q + q)` for quantum `q`. No active clock is below `min`, so a clock lies
+//! in that window exactly when `clock / q == min / q`, and the rule picks
+//! the active processor with the smallest key `(clock / q, id)`. The engine
+//! keeps those keys in a run queue (a tournament tree, see
+//! `crate::runqueue`): each turn re-keys the processor that ran and each
+//! retirement removes one, in O(log n), and a pick is O(1).
+//!
 //! Two interchangeable backends drive that schedule (see [`EngineKind`]):
 //!
 //! * **Fiber** (default where available): every processor is a stackful
@@ -37,6 +45,7 @@ use crate::fiber::{self, FiberSet, Resumed};
 use crate::invariants::{InvariantMode, InvariantReport};
 use crate::machine::{Machine, StallKind};
 use crate::oracle::Component;
+use crate::runqueue::RunQueue;
 use crate::stats::{ProcTimes, RunStats};
 use crate::trace::{Trace, TraceEvent, TraceOp};
 
@@ -56,7 +65,7 @@ pub enum EngineKind {
     /// available).
     Fiber,
     /// One OS thread per simulated processor under a single lock
-    /// (portable reference backend).
+    /// (portable reference backend; `CCSIM_SIM_ENGINE=threads`).
     Threads,
 }
 
@@ -99,6 +108,9 @@ struct Inner {
     clocks: Vec<u64>,
     times: Vec<ProcTimes>,
     active: Vec<bool>,
+    /// Every processor's scheduling key, kept in step with `clocks` and
+    /// `active`: it answers [`Inner::next_runner`] without a scan.
+    queue: RunQueue,
     comp: Vec<Component>,
     quantum: u64,
     max_cycles: u64,
@@ -114,17 +126,34 @@ struct Inner {
 impl Inner {
     /// The unique processor allowed to execute next: the lowest-numbered
     /// active processor inside the current scheduling window.
-    // ccsim-lint: allow(panic-path): per-proc slots are indexed by ids the spawn loop itself assigned, always in range
+    ///
+    /// That is the processor with the smallest key `(clock / quantum, id)`:
+    /// the window of the minimum clock holds exactly the active processors
+    /// whose clock divides down to the same window number, and the tie goes
+    /// to the lowest id. The run queue keeps that minimum, so the pick is
+    /// O(1); debug builds check it against a scan of every clock.
     fn next_runner(&self) -> Option<usize> {
-        let min = self
-            .clocks
-            .iter()
-            .zip(&self.active)
-            .filter(|(_, &a)| a)
-            .map(|(&c, _)| c)
-            .min()?;
-        let window_end = (min / self.quantum) * self.quantum + self.quantum;
-        (0..self.clocks.len()).find(|&q| self.active[q] && self.clocks[q] < window_end)
+        let pick = self.queue.first();
+        #[cfg(debug_assertions)]
+        assert_eq!(
+            pick,
+            crate::runqueue::window_scan(&self.clocks, &self.active, self.quantum),
+            "run queue diverged from the window rule"
+        );
+        pick
+    }
+
+    /// Re-key processor `p` after a turn may have advanced its clock.
+    // ccsim-lint: allow(panic-path): per-proc slots are indexed by ids the spawn loop itself assigned, always in range
+    fn requeue(&mut self, p: usize) {
+        self.queue.update(p, self.clocks[p], self.quantum);
+    }
+
+    /// Processor `p`'s program returned or panicked: it never runs again.
+    // ccsim-lint: allow(panic-path): per-proc slots are indexed by ids the spawn loop itself assigned, always in range
+    fn retire(&mut self, p: usize) {
+        self.active[p] = false;
+        self.queue.retire(p);
     }
 
     // ccsim-lint: allow(panic-path): per-proc slots are indexed by ids the spawn loop itself assigned, always in range
@@ -262,6 +291,7 @@ impl Proc {
                     g = shared.cvs[me].wait(g).unwrap_or_else(|e| e.into_inner());
                 }
                 let r = f(&mut g);
+                g.requeue(me);
                 assert!(
                     g.clocks[me] <= g.max_cycles,
                     "{} exceeded the simulation cycle limit ({}) — livelocked workload?",
@@ -287,6 +317,7 @@ impl Proc {
                     continue;
                 }
                 let r = f(g);
+                g.requeue(me);
                 assert!(
                     g.clocks[me] <= g.max_cycles,
                     "{} exceeded the simulation cycle limit ({}) — livelocked workload?",
@@ -616,6 +647,7 @@ impl SimBuilder {
             clocks: vec![0; n],
             times: vec![ProcTimes::default(); n],
             active: (0..n).map(|i| i < num).collect(),
+            queue: RunQueue::new(n, num),
             comp: vec![Component::App; n],
             quantum: cfg.schedule_quantum,
             max_cycles: self.max_cycles,
@@ -663,7 +695,7 @@ fn run_fiber(
         if resumed == Resumed::Finished {
             // Retire this processor — even on panic — so siblings can
             // finish or fail fast, exactly like the thread backend.
-            inner.active[next] = false;
+            inner.retire(next);
             panics[next] = fibers.take_panic(next);
         }
     }
@@ -708,7 +740,7 @@ fn run_threads(
                     // panic, so sibling threads can finish or fail fast.
                     {
                         let g = &mut *shared.lock();
-                        g.active[i] = false;
+                        g.retire(i);
                         if let Some(next) = g.next_runner() {
                             shared.cvs[next].notify_one();
                         }
@@ -990,28 +1022,6 @@ mod tests {
     }
 
     #[test]
-    fn quantum_variants_still_deterministic() {
-        fn run_q(q: u64) -> (u64, u64) {
-            let mut c = cfg();
-            c.schedule_quantum = q;
-            let mut b = SimBuilder::new(c);
-            let ctr = b.alloc().alloc_words(1);
-            for _ in 0..4 {
-                b.spawn(move |p| {
-                    for _ in 0..100 {
-                        p.fetch_add(ctr, 1);
-                        p.busy(9);
-                    }
-                });
-            }
-            let s = b.run();
-            (s.exec_cycles, s.traffic.total_messages())
-        }
-        assert_eq!(run_q(64), run_q(64));
-        assert_eq!(run_q(1), run_q(1));
-    }
-
-    #[test]
     #[should_panic(expected = "cycle limit")]
     fn livelock_guard_fires() {
         let mut b = SimBuilder::new(cfg());
@@ -1049,6 +1059,7 @@ mod tests {
             clocks: vec![0; 4],
             times: vec![ProcTimes::default(); 4],
             active: vec![true, true, true, false],
+            queue: RunQueue::new(4, 3),
             comp: vec![Component::App; 4],
             quantum: 1,
             max_cycles: u64::MAX,
@@ -1158,20 +1169,32 @@ mod tests {
     }
 
     /// The two backends must retire the same ops in the same order: every
-    /// observable statistic is bit-identical.
+    /// observable statistic is bit-identical. The shapes cover run-queue
+    /// padding (6 nodes), a many-leaf tree (32), a quantum that is not a
+    /// power of two (7), idle slots (fewer programs than nodes), and
+    /// processors that retire at different times.
     #[test]
     fn fiber_and_thread_backends_agree() {
         if !crate::fiber::supported() {
             return;
         }
-        fn one_run(engine: EngineKind, kind: ProtocolKind) -> RunStats {
-            let mut b = SimBuilder::new(MachineConfig::splash_baseline(kind));
+        fn one_run(
+            engine: EngineKind,
+            kind: ProtocolKind,
+            nodes: u16,
+            quantum: u64,
+            programs: u64,
+        ) -> RunStats {
+            let mut c = MachineConfig::splash_baseline(kind);
+            c.nodes = nodes;
+            c.schedule_quantum = quantum;
+            let mut b = SimBuilder::new(c);
             b.engine(engine);
             let ctr = b.alloc().alloc_words(1);
             let data = b.alloc().alloc_words(64);
-            for id in 0..4u64 {
+            for id in 0..programs {
                 b.spawn(move |p| {
-                    for i in 0..150u64 {
+                    for i in 0..8 + 5 * id {
                         p.fetch_add(ctr, 1);
                         let a = Addr(data.0 + ((i * 7 + id * 13) % 64) * 8);
                         let v = p.load(a);
@@ -1182,10 +1205,20 @@ mod tests {
             }
             b.run()
         }
-        for kind in ProtocolKind::ALL {
-            let f = one_run(EngineKind::Fiber, kind);
-            let t = one_run(EngineKind::Threads, kind);
-            assert_eq!(f, t, "{kind:?}: fiber and thread backends diverge");
+        for nodes in [4u16, 6, 32] {
+            for quantum in [1u64, 7, 64] {
+                for programs in [nodes as u64, nodes as u64 * 3 / 4] {
+                    for kind in ProtocolKind::ALL {
+                        let f = one_run(EngineKind::Fiber, kind, nodes, quantum, programs);
+                        let t = one_run(EngineKind::Threads, kind, nodes, quantum, programs);
+                        assert_eq!(
+                            f, t,
+                            "{kind:?} at {nodes} nodes, quantum {quantum}, {programs} \
+                             programs: fiber and thread backends diverge"
+                        );
+                    }
+                }
+            }
         }
     }
 

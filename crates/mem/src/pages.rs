@@ -12,7 +12,7 @@ use ccsim_types::{Addr, BlockAddr, NodeId};
 pub fn home_node(addr: Addr, page_bytes: u64, nodes: u16) -> NodeId {
     debug_assert!(page_bytes.is_power_of_two());
     debug_assert!(nodes > 0);
-    let page = addr.0 / page_bytes;
+    let page = addr.0 >> page_bytes.trailing_zeros();
     NodeId((page % nodes as u64) as u16)
 }
 

@@ -34,7 +34,8 @@ pub struct Traffic {
     write: ClassCounters,
     other: ClassCounters,
     invalidations: u64,
-    by_kind: std::collections::BTreeMap<&'static str, u64>,
+    /// Messages per kind, indexed by `MsgKind as usize`.
+    by_kind: [u64; MsgKind::ALL.len()],
 }
 
 impl Traffic {
@@ -72,7 +73,7 @@ impl Traffic {
 
     /// Count of one message kind (diagnostics).
     pub fn kind_count(&self, kind: MsgKind) -> u64 {
-        *self.by_kind.get(kind_name(kind)).unwrap_or(&0)
+        self.by_kind[kind as usize]
     }
 
     fn record(&mut self, kind: MsgKind, block_bytes: u64) {
@@ -82,7 +83,7 @@ impl Traffic {
         if kind.is_invalidation() {
             self.invalidations += 1;
         }
-        *self.by_kind.entry(kind_name(kind)).or_insert(0) += 1;
+        self.by_kind[kind as usize] += 1;
     }
 
     /// Merge another traffic tally into this one.
@@ -94,8 +95,8 @@ impl Traffic {
             m.bytes += o.bytes;
         }
         self.invalidations += other.invalidations;
-        for (k, v) in &other.by_kind {
-            *self.by_kind.entry(k).or_insert(0) += v;
+        for (m, o) in self.by_kind.iter_mut().zip(&other.by_kind) {
+            *m += o;
         }
     }
 }
@@ -119,7 +120,15 @@ impl FromJson for ClassCounters {
 }
 
 impl ToJson for Traffic {
+    /// `by_kind` lists only the kinds sent at least once, sorted by name:
+    /// the layout of the run cache's traffic records.
     fn to_json(&self) -> Json {
+        let mut by_kind: Vec<(&str, u64)> = MsgKind::ALL
+            .into_iter()
+            .map(|k| (kind_name(k), self.by_kind[k as usize]))
+            .filter(|&(_, n)| n > 0)
+            .collect();
+        by_kind.sort_unstable_by_key(|&(name, _)| name);
         Json::obj(vec![
             ("read", self.read.to_json()),
             ("write", self.write.to_json()),
@@ -127,12 +136,7 @@ impl ToJson for Traffic {
             ("invalidations", self.invalidations.to_json()),
             (
                 "by_kind",
-                Json::Obj(
-                    self.by_kind
-                        .iter()
-                        .map(|(k, v)| (k.to_string(), v.to_json()))
-                        .collect(),
-                ),
+                Json::obj(by_kind.into_iter().map(|(k, n)| (k, n.to_json())).collect()),
             ),
         ])
     }
@@ -140,11 +144,13 @@ impl ToJson for Traffic {
 
 impl FromJson for Traffic {
     fn from_json(j: &Json) -> Result<Self, String> {
-        let mut by_kind = std::collections::BTreeMap::new();
+        let mut by_kind = [0; MsgKind::ALL.len()];
         for (k, v) in j.req("by_kind")?.as_obj()? {
-            let name = intern_kind_name(k)
+            let kind = MsgKind::ALL
+                .into_iter()
+                .find(|&kind| kind_name(kind) == k)
                 .ok_or_else(|| format!("unknown message kind `{k}` in traffic"))?;
-            by_kind.insert(name, v.as_u64()?);
+            by_kind[kind as usize] = v.as_u64()?;
         }
         Ok(Traffic {
             read: j.field("read")?,
@@ -154,35 +160,6 @@ impl FromJson for Traffic {
             by_kind,
         })
     }
-}
-
-/// Map a decoded kind name back onto the `'static` key [`Traffic::by_kind`]
-/// uses internally. `None` for names no [`MsgKind`] produces — a decode of
-/// such data fails loudly rather than dropping counters.
-fn intern_kind_name(s: &str) -> Option<&'static str> {
-    use MsgKind::*;
-    const ALL: [MsgKind; 19] = [
-        ReadReq,
-        ReadReply,
-        ReadExclReply,
-        ReadForward,
-        OwnerReply,
-        SharingWriteback,
-        UpgradeReq,
-        UpgradeAck,
-        WriteMissReq,
-        WriteMissReply,
-        WriteForward,
-        OwnerWriteReply,
-        Inval,
-        InvalAck,
-        ReplWriteback,
-        ReplHint,
-        NotLs,
-        Retry,
-        Ack,
-    ];
-    ALL.into_iter().map(kind_name).find(|&n| n == s)
 }
 
 fn kind_name(kind: MsgKind) -> &'static str {
@@ -436,11 +413,9 @@ pub struct Network {
     topology: Topology,
     /// Cycle until which each node's NI is busy injecting.
     ni_busy_until: Vec<u64>,
-    /// Cycle until which each directed link is busy (mesh contention).
-    /// Deterministically hashed: a `RandomState` map here would not change
-    /// timing (lookups are per-link), but it is exactly the kind of latent
-    /// iteration-order hazard `ccsim lint` bans workspace-wide.
-    link_busy_until: FxHashMap<(NodeId, NodeId), u64>,
+    /// Cycle until which each directed link `(from, to)` is busy, flat at
+    /// `from * nodes + to` (mesh contention; point-to-point links too).
+    link_busy_until: Vec<u64>,
     traffic: Traffic,
     /// Fault injector; `None` when the plan is disabled, in which case no
     /// randomness is ever consumed and timing is exactly the fault-free
@@ -487,7 +462,7 @@ impl Network {
             block_bytes,
             topology,
             ni_busy_until: vec![0; nodes as usize],
-            link_busy_until: FxHashMap::default(),
+            link_busy_until: vec![0; nodes as usize * nodes as usize],
             traffic: Traffic::default(),
             faults: None,
             #[cfg(feature = "testing")]
@@ -575,8 +550,9 @@ impl Network {
         // Traverse the route, booking each link (wormhole cut-through: the
         // header advances one `net` delay per link; the body's occupancy
         // trails behind and is what later messages queue on).
-        for link in self.topology.route(from, to) {
-            let busy = self.link_busy_until.entry(link).or_insert(0);
+        let nodes = self.ni_busy_until.len();
+        for (a, b) in self.topology.route(from, to) {
+            let busy = &mut self.link_busy_until[a.idx() * nodes + b.idx()];
             let start = (*busy).max(t);
             *busy = start + occupancy;
             t = start + self.latency.net;

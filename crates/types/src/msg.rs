@@ -85,6 +85,32 @@ pub enum MsgKind {
 }
 
 impl MsgKind {
+    /// Every kind, in declaration order: `MsgKind::ALL[k as usize] == k`.
+    pub const ALL: [MsgKind; 19] = {
+        use MsgKind::*;
+        [
+            ReadReq,
+            ReadReply,
+            ReadExclReply,
+            ReadForward,
+            OwnerReply,
+            SharingWriteback,
+            UpgradeReq,
+            UpgradeAck,
+            WriteMissReq,
+            WriteMissReply,
+            WriteForward,
+            OwnerWriteReply,
+            Inval,
+            InvalAck,
+            ReplWriteback,
+            ReplHint,
+            NotLs,
+            Retry,
+            Ack,
+        ]
+    };
+
     /// Traffic class for the paper's read/write/other split.
     pub fn class(self) -> MsgClass {
         use MsgKind::*;
@@ -136,31 +162,10 @@ impl MsgKind {
 mod tests {
     use super::*;
 
-    const ALL_KINDS: [MsgKind; 19] = [
-        MsgKind::ReadReq,
-        MsgKind::ReadReply,
-        MsgKind::ReadExclReply,
-        MsgKind::ReadForward,
-        MsgKind::OwnerReply,
-        MsgKind::SharingWriteback,
-        MsgKind::UpgradeReq,
-        MsgKind::UpgradeAck,
-        MsgKind::WriteMissReq,
-        MsgKind::WriteMissReply,
-        MsgKind::WriteForward,
-        MsgKind::OwnerWriteReply,
-        MsgKind::Inval,
-        MsgKind::InvalAck,
-        MsgKind::ReplWriteback,
-        MsgKind::ReplHint,
-        MsgKind::NotLs,
-        MsgKind::Retry,
-        MsgKind::Ack,
-    ];
-
     #[test]
     fn every_kind_has_a_class_and_size() {
-        for k in ALL_KINDS {
+        for (i, k) in MsgKind::ALL.into_iter().enumerate() {
+            assert_eq!(k as usize, i, "ALL is in declaration order");
             let _ = k.class();
             assert!(k.size_bytes(32) >= 8);
         }

@@ -8,6 +8,7 @@
 //! reductions translate when link bandwidth, not just latency, is scarce.
 
 use crate::NodeId;
+
 /// Shape of the interconnect.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum Topology {
@@ -43,32 +44,18 @@ impl Topology {
     }
 
     /// The sequence of directed links (as node pairs) a message traverses
-    /// under dimension-ordered routing. Empty for a local transfer.
-    pub fn route(self, from: NodeId, to: NodeId) -> Vec<(NodeId, NodeId)> {
-        if from == to {
-            return Vec::new();
-        }
-        match self {
-            Topology::PointToPoint => vec![(from, to)],
-            Topology::Mesh2D { width } => {
-                let mut links = Vec::new();
-                let (mut x, mut y) = self.coords(from);
-                let (tx, ty) = self.coords(to);
-                let mut cur = from;
-                while x != tx {
-                    x = if x < tx { x + 1 } else { x - 1 };
-                    let next = NodeId(y * width + x);
-                    links.push((cur, next));
-                    cur = next;
-                }
-                while y != ty {
-                    y = if y < ty { y + 1 } else { y - 1 };
-                    let next = NodeId(y * width + x);
-                    links.push((cur, next));
-                    cur = next;
-                }
-                links
-            }
+    /// under dimension-ordered routing, computed hop by hop without
+    /// allocating. Empty for a local transfer.
+    pub fn route(self, from: NodeId, to: NodeId) -> Route {
+        Route {
+            width: match self {
+                Topology::PointToPoint => None,
+                Topology::Mesh2D { width } => Some(width),
+            },
+            at: self.coords(from),
+            dest: self.coords(to),
+            cur: from,
+            to,
         }
     }
 
@@ -89,6 +76,44 @@ impl Topology {
     }
 }
 
+/// The links of one route, in traversal order (see [`Topology::route`]).
+#[derive(Clone, Debug)]
+pub struct Route {
+    /// Mesh width; `None` for point-to-point (one direct link).
+    width: Option<u16>,
+    /// Mesh coordinates of `cur` and of the destination.
+    at: (u16, u16),
+    dest: (u16, u16),
+    cur: NodeId,
+    to: NodeId,
+}
+
+impl Iterator for Route {
+    type Item = (NodeId, NodeId);
+
+    fn next(&mut self) -> Option<(NodeId, NodeId)> {
+        if self.cur == self.to {
+            return None;
+        }
+        let next = match self.width {
+            None => self.to,
+            Some(width) => {
+                // X first, then Y.
+                let ((x, y), (tx, ty)) = (&mut self.at, self.dest);
+                if *x != tx {
+                    *x = if *x < tx { *x + 1 } else { *x - 1 };
+                } else {
+                    *y = if *y < ty { *y + 1 } else { *y - 1 };
+                }
+                NodeId(*y * width + *x)
+            }
+        };
+        let link = (self.cur, next);
+        self.cur = next;
+        Some(link)
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -98,7 +123,10 @@ mod tests {
         let t = Topology::PointToPoint;
         assert_eq!(t.hops(NodeId(0), NodeId(3)), 1);
         assert_eq!(t.hops(NodeId(2), NodeId(2)), 0);
-        assert_eq!(t.route(NodeId(0), NodeId(3)), vec![(NodeId(0), NodeId(3))]);
+        assert_eq!(
+            t.route(NodeId(0), NodeId(3)).collect::<Vec<_>>(),
+            vec![(NodeId(0), NodeId(3))]
+        );
     }
 
     #[test]
@@ -114,7 +142,7 @@ mod tests {
     #[test]
     fn mesh_routing_is_x_then_y() {
         let t = Topology::Mesh2D { width: 4 };
-        let r = t.route(NodeId(0), NodeId(6));
+        let r: Vec<_> = t.route(NodeId(0), NodeId(6)).collect();
         // (0,0) -> (1,0) -> (2,0) -> (2,1).
         assert_eq!(
             r,
@@ -128,7 +156,7 @@ mod tests {
         for a in 0..8u16 {
             for b in 0..8u16 {
                 assert_eq!(
-                    t.route(NodeId(a), NodeId(b)).len() as u64,
+                    t.route(NodeId(a), NodeId(b)).count() as u64,
                     t.hops(NodeId(a), NodeId(b))
                 );
             }

@@ -46,6 +46,18 @@ impl<T: Default + Clone> Slab<T> {
         }
     }
 
+    /// Mutably borrow the entry at `index`, or `None` if its page was never
+    /// touched. Never materializes a page, so a write path that leaves
+    /// default entries alone (clearing bits already clear) can skip it.
+    #[inline]
+    pub fn get_mut(&mut self, index: usize) -> Option<&mut T> {
+        let (p, o) = Self::locate(index);
+        match self.pages.get_mut(p) {
+            Some(Some(page)) => Some(&mut page[o]),
+            _ => None,
+        }
+    }
+
     /// Mutably borrow the entry at `index`, materializing its page.
     #[inline]
     pub fn entry(&mut self, index: usize) -> &mut T {
@@ -103,6 +115,19 @@ mod tests {
         assert_eq!(s.load(6), 0);
         // Only the two touched pages exist, despite the index gap.
         assert_eq!(s.pages_committed(), 2);
+    }
+
+    #[test]
+    fn get_mut_never_materializes() {
+        let mut s: Slab<u64> = Slab::new();
+        assert!(s.get_mut(3).is_none());
+        assert!(s.get_mut(3 + PAGE * 5).is_none());
+        assert_eq!(s.pages_committed(), 0);
+        *s.entry(3) = 1;
+        *s.get_mut(4).expect("page 0 is materialized") = 2;
+        assert_eq!((s.load(3), s.load(4)), (1, 2));
+        assert!(s.get_mut(3 + PAGE).is_none());
+        assert_eq!(s.pages_committed(), 1);
     }
 
     #[test]
