@@ -6,15 +6,23 @@
 //! concurrency — it only buys a futex round-trip on every handoff. At
 //! `schedule_quantum = 1` (the paper's configurations) the engine hands off
 //! after nearly every access, and those round-trips dominate wall-clock
-//! time. A fiber switch is two register saves and two loads (~50 ns on this
-//! class of hardware versus microseconds for a futex wake), which is where
-//! the engine's single-run speedup comes from.
+//! time. A fiber switch saves and restores the callee-saved registers and
+//! the stack pointer, against microseconds for a futex wake.
+//!
+//! A handoff is one direct switch from the yielding fiber to the next one
+//! ([`FiberSet::switch_to`]); it does not pass through the scheduler. The
+//! scheduler ([`FiberSet::resume`]) starts the first fiber and gets control
+//! back only when a fiber finishes, so it can retire it and start the next.
+//! On a 2-vCPU x86_64 host, two fibers handing off directly take about
+//! 8 ns a switch; a handoff through the scheduler (two switches that resume
+//! with `ret`, see `imp::switch`) took about 68 ns.
 //!
 //! Safety model: fibers never migrate between OS threads — a [`FiberSet`]
 //! is created, driven, and dropped on one thread, and the only entry points
-//! into fiber context are [`FiberSet::resume`] / [`yield_to_scheduler`].
-//! Panics inside a fiber are caught at the fiber trampoline and re-thrown
-//! on the scheduler's stack, so unwinding never crosses a context switch.
+//! into fiber context are [`FiberSet::resume`] (from the scheduler) and
+//! [`FiberSet::switch_to`] (from a fiber of the running set). Panics inside
+//! a fiber are caught at the fiber trampoline and re-thrown on the
+//! scheduler's stack, so unwinding never crosses a context switch.
 //!
 //! Each fiber's stack is its own anonymous memory mapping with an
 //! inaccessible guard page below it: pages are committed only as the fiber
@@ -59,9 +67,20 @@ mod imp {
     ///
     /// System V x86_64: push the callee-saved registers and a resume
     /// address onto the current stack, publish the stack pointer through
-    /// `from`, adopt `to`'s stack pointer, pop its registers, and `ret`
-    /// into wherever it suspended. Every caller-saved register is declared
-    /// clobbered so the compiler spills anything live across the switch.
+    /// `from`, adopt `to`'s stack pointer, pop its registers and its resume
+    /// address, and jump there.
+    ///
+    /// The resume is `pop rax; jmp rax`, not `ret`. A `ret` would consume
+    /// the return-stack-buffer entry that the `call` into this function
+    /// pushed, mispredict, and leave the buffer one entry out of step for
+    /// every return that follows on the new stack. The indirect `jmp`
+    /// always lands on the label below, which the branch predictor learns,
+    /// and the function's own `ret` then pops the entry its `call` pushed.
+    /// Its target is predicted right whenever both fibers called in from
+    /// the same site, which [`super::FiberSet::switch_to`] arranges.
+    ///
+    /// Every caller-saved register is declared clobbered so the compiler
+    /// spills anything live across the switch.
     ///
     /// # Safety
     /// `from` must be writable; `to` must hold a stack pointer previously
@@ -85,7 +104,8 @@ mod imp {
             "pop r12",
             "pop rbx",
             "pop rbp",
-            "ret",
+            "pop rax",
+            "jmp rax",
             "2:",
             in("rdi") from,
             in("rsi") to,
@@ -104,8 +124,9 @@ mod imp {
     ///
     /// Layout (top down): 16-byte alignment padding, then the frame
     /// `switch` pops — six zeroed callee-saved slots under the entry
-    /// address. After `switch` pops them and `ret`s into `entry`,
-    /// `rsp % 16 == 8`, exactly the System V state at a function entry.
+    /// address. After `switch` pops them and the address and jumps into
+    /// `entry`, `rsp % 16 == 8`, exactly the System V state at a function
+    /// entry.
     ///
     /// # Safety
     /// `top` must be the writable upper end of a stack that outlives every
@@ -113,7 +134,7 @@ mod imp {
     pub(super) unsafe fn init_stack(top: *mut u8, entry: extern "C" fn() -> !) -> u64 {
         let mut p = ((top as u64) & !15) as *mut u64;
         // One padding slot so the entry address sits at `16k+8`: after the
-        // six register pops and the `ret`, `rsp % 16 == 8` — the System V
+        // six register pops and the address pop, `rsp % 16 == 8` — the System V
         // state at a function entry (as if reached by `call`). Without it,
         // aligned SSE spills in the entry fault.
         p = p.sub(1);
@@ -228,19 +249,27 @@ impl Drop for Stack {
 }
 
 thread_local! {
-    /// The fiber currently executing on this thread (null in scheduler
-    /// context). A raw pointer is sound here because a fiber only runs
-    /// while its `FiberSet` is borrowed mutably by `resume`, which pins it.
+    /// The fiber executing on this thread, or null outside every fiber. A
+    /// raw pointer is sound here because a fiber only runs while its
+    /// `FiberSet` is borrowed mutably by `resume`, which pins it.
     static CURRENT: Cell<*mut FiberSlot> = const { Cell::new(std::ptr::null_mut()) };
+    /// The set whose fibers run on this thread, or null outside every
+    /// fiber: what [`FiberSet::switch_to`] indexes, and where a finishing
+    /// fiber finds the scheduler's context. `resume` publishes it and
+    /// restores the previous value, so a simulation nested inside a fiber
+    /// switches among its own fibers and hands the outer set back intact.
+    static RUNNING: Cell<*mut FiberSet> = const { Cell::new(std::ptr::null_mut()) };
 }
 
 struct FiberSlot {
     ctx: Context,
-    sched: Context,
+    /// This fiber's index in its set, which `resume` reports when the
+    /// fiber finishes.
+    index: usize,
     /// Owned stack mapping; it never moves, and unmaps with the slot.
     #[allow(dead_code)]
     stack: Stack,
-    /// Entry closure, consumed by the trampoline on first resume.
+    /// Entry closure, consumed by the trampoline on first entry.
     entry: Option<Box<dyn FnOnce()>>,
     /// Panic payload captured at the trampoline, if the fiber panicked.
     panic: Option<Box<dyn std::any::Any + Send>>,
@@ -248,64 +277,45 @@ struct FiberSlot {
 }
 
 /// First frame of every fiber: run the entry closure under `catch_unwind`,
-/// record the outcome, and switch back to the scheduler forever.
+/// record the outcome, and switch back to the scheduler for good.
 extern "C" fn trampoline() -> ! {
     let slot = CURRENT.with(|c| c.get());
-    // Safety: `resume` set CURRENT to a live, pinned FiberSlot just before
-    // switching here, and the scheduler thread cannot touch it again until
-    // we switch back.
+    // SAFETY: `resume` or `switch_to` set CURRENT to this fiber's slot just
+    // before switching here. The slot is boxed and its set stays borrowed
+    // by `resume` until some fiber of it finishes, so the pointer is live;
+    // the other fibers of the set run only while this one is switched out.
     unsafe {
-        let slot = &mut *slot;
-        let entry = slot
+        let entry = (*slot)
             .entry
             .take()
             // ccsim-lint: allow(unwrap): the trampoline runs exactly once per fiber
-            .expect("fiber resumed after completion");
+            .expect("fiber entered twice");
         let result = std::panic::catch_unwind(AssertUnwindSafe(entry));
         if let Err(payload) = result {
-            slot.panic = Some(payload);
+            (*slot).panic = Some(payload);
         }
-        slot.finished = true;
-        // A finished fiber parks here; the scheduler never resumes a fiber
-        // marked finished, so each switch is terminal in practice.
-        // ccsim-lint: allow(unbounded-retry): every iteration switches straight back to the scheduler
-        loop {
-            imp::switch(&mut slot.ctx, &slot.sched);
-        }
+        (*slot).finished = true;
+        // The set that is running now: the entry may have run a nested
+        // simulation, which published its own set and restored this one.
+        let set = RUNNING.with(|c| c.get());
+        imp::switch(
+            std::ptr::addr_of_mut!((*slot).ctx),
+            std::ptr::addr_of!((*set).sched),
+        );
     }
-}
-
-/// Suspend the currently running fiber and return to the scheduler that
-/// resumed it. No-op outside fiber context (callers guard on backend kind).
-pub(crate) fn yield_to_scheduler() {
-    let slot = CURRENT.with(|c| c.get());
-    assert!(
-        !slot.is_null(),
-        "yield_to_scheduler called outside fiber context"
-    );
-    // Safety: same pinning argument as `trampoline`.
-    unsafe {
-        let slot = &mut *slot;
-        imp::switch(&mut slot.ctx, &slot.sched);
-    }
-}
-
-/// The outcome of resuming a fiber.
-#[derive(Debug, PartialEq, Eq)]
-pub(crate) enum Resumed {
-    /// The fiber suspended via [`yield_to_scheduler`].
-    Yielded,
-    /// The fiber's entry closure returned or panicked; it will never run
-    /// again. Any panic payload is held for [`FiberSet::take_panic`].
-    Finished,
+    // Neither `resume` nor `switch_to` enters a finished fiber.
+    unreachable!("a finished fiber was resumed")
 }
 
 /// A set of cooperatively scheduled fibers, all pinned to the thread that
 /// created them.
 pub(crate) struct FiberSet {
+    /// Where `resume` waits while the set's fibers run; a fiber switches
+    /// here only when it finishes.
+    sched: Context,
     // The Box is load-bearing, not an accident: raw pointers into a slot
-    // (CURRENT, the saved contexts) must survive `spawn` reallocating the
-    // Vec, so every slot needs its own stable heap address.
+    // (CURRENT, the trampoline's frame) must survive `spawn` reallocating
+    // the Vec, so every slot needs its own stable heap address.
     #[allow(clippy::vec_box)]
     slots: Vec<Box<FiberSlot>>,
 }
@@ -313,10 +323,13 @@ pub(crate) struct FiberSet {
 impl FiberSet {
     pub(crate) fn new() -> Self {
         assert!(supported(), "fiber backend not available on this target");
-        FiberSet { slots: Vec::new() }
+        FiberSet {
+            sched: Context::default(),
+            slots: Vec::new(),
+        }
     }
 
-    /// Add a fiber that will run `entry` when first resumed.
+    /// Add a fiber that will run `entry` when first entered.
     pub(crate) fn spawn(&mut self, stack_bytes: usize, entry: Box<dyn FnOnce()>) {
         let stack = Stack::new(stack_bytes.max(MIN_STACK_BYTES));
         // SAFETY: the mapping lives in the slot alongside the context and
@@ -324,7 +337,7 @@ impl FiberSet {
         let sp = unsafe { imp::init_stack(stack.top(), trampoline) };
         self.slots.push(Box::new(FiberSlot {
             ctx: Context { sp },
-            sched: Context::default(),
+            index: self.slots.len(),
             stack,
             entry: Some(entry),
             panic: None,
@@ -336,22 +349,59 @@ impl FiberSet {
         self.slots.len()
     }
 
-    /// Run fiber `i` until it yields or finishes.
-    pub(crate) fn resume(&mut self, i: usize) -> Resumed {
-        let slot: &mut FiberSlot = &mut self.slots[i];
-        assert!(!slot.finished, "resumed a finished fiber");
-        let prev = CURRENT.with(|c| c.replace(&mut *slot));
-        // Safety: slot is boxed (stable address) and borrowed for the
-        // whole switch; the fiber runs on this same OS thread and switches
-        // back before `resume` returns.
+    /// Run fiber `i`, and every fiber the running ones switch to, until one
+    /// of them finishes. Returns the index of the fiber that finished: it
+    /// never runs again, and any panic payload is held for
+    /// [`FiberSet::take_panic`]. The other fibers stay where they were.
+    pub(crate) fn resume(&mut self, i: usize) -> usize {
+        assert!(!self.slots[i].finished, "resumed a finished fiber");
+        let set: *mut FiberSet = self;
+        // SAFETY: `set` comes from `&mut self`, which pins the set and its
+        // boxed slots until `resume` returns; from here on every access
+        // goes through `set`. The fibers run on this same OS thread, and
+        // the one that finishes switches back before `resume` returns.
         unsafe {
-            imp::switch(&mut slot.sched, &slot.ctx);
+            let to: *mut FiberSlot = &mut *(&mut (*set).slots)[i];
+            let prev_set = RUNNING.with(|c| c.replace(set));
+            let prev = CURRENT.with(|c| c.replace(to));
+            imp::switch(
+                std::ptr::addr_of_mut!((*set).sched),
+                std::ptr::addr_of!((*to).ctx),
+            );
+            // Only a finishing fiber switches here, with CURRENT naming it.
+            let done = CURRENT.with(|c| c.replace(prev));
+            RUNNING.with(|c| c.set(prev_set));
+            (*done).index
         }
-        CURRENT.with(|c| c.set(prev));
-        if slot.finished {
-            Resumed::Finished
-        } else {
-            Resumed::Yielded
+    }
+
+    /// Suspend the running fiber and switch straight to fiber `next` of the
+    /// same set, entering it for the first time if it has not run yet.
+    /// Returns when another fiber of the set switches back to this one.
+    ///
+    /// Every handoff passes through this one non-inlined call, so every
+    /// parked fiber waits at the same return address, and the returns that
+    /// follow a switch match the return-stack buffer (see `imp::switch`).
+    ///
+    /// Panics outside a fiber, or if `next` is out of range. `next` must not
+    /// have finished.
+    // ccsim-lint: allow(panic-path): the runner passes only `next_runner` picks, ids the spawn loop assigned, always in range
+    #[inline(never)]
+    pub(crate) fn switch_to(next: usize) {
+        let set = RUNNING.with(|c| c.get());
+        assert!(!set.is_null(), "switch_to called outside fiber context");
+        let from = CURRENT.with(|c| c.get());
+        // SAFETY: RUNNING is non-null only while `resume` pins the set, and
+        // CURRENT then names the running fiber's slot in it (same argument
+        // as `resume`). The indexing is bounds-checked.
+        unsafe {
+            let to: *mut FiberSlot = &mut *(&mut (*set).slots)[next];
+            debug_assert!(!(*to).finished, "switched to a finished fiber");
+            CURRENT.with(|c| c.set(to));
+            imp::switch(
+                std::ptr::addr_of_mut!((*from).ctx),
+                std::ptr::addr_of!((*to).ctx),
+            );
         }
     }
 
@@ -367,8 +417,18 @@ mod tests {
     use std::cell::{Cell, RefCell};
     use std::rc::Rc;
 
+    /// Neither thread-local may outlive the `resume` that published it.
+    fn assert_outside_fibers() {
+        assert!(CURRENT.with(|c| c.get()).is_null(), "CURRENT restored");
+        assert!(RUNNING.with(|c| c.get()).is_null(), "RUNNING restored");
+    }
+
+    /// Three fibers hand the turn round a ring by direct switches, three
+    /// times each; the scheduler enters only fiber 0. Fibers 1 and 2 are
+    /// first entered by `switch_to`, and each fiber's last switch parks it
+    /// until the scheduler resumes it to finish.
     #[test]
-    fn fibers_interleave_in_resume_order() {
+    fn a_ring_of_direct_switches_runs_in_handoff_order() {
         let log = Rc::new(RefCell::new(Vec::new()));
         let mut set = FiberSet::new();
         for id in 0..3u32 {
@@ -378,53 +438,96 @@ mod tests {
                 Box::new(move || {
                     for step in 0..3u32 {
                         log.borrow_mut().push(id * 10 + step);
-                        yield_to_scheduler();
+                        FiberSet::switch_to((id as usize + 1) % 3);
                     }
                 }),
             );
         }
-        // Round-robin until done.
-        let mut live = vec![true; set.len()];
-        while live.iter().any(|&a| a) {
-            for (i, alive) in live.iter_mut().enumerate() {
-                if *alive && set.resume(i) == Resumed::Finished {
-                    *alive = false;
-                }
-            }
-        }
-        assert_eq!(
-            *log.borrow(),
-            vec![0, 10, 20, 1, 11, 21, 2, 12, 22],
-            "scheduler order, not spawn completion order"
+        // Fiber 2's last switch lands in fiber 0 after its last step.
+        assert_eq!(set.resume(0), 0, "fiber 0 finishes first");
+        assert_eq!(*log.borrow(), vec![0, 10, 20, 1, 11, 21, 2, 12, 22]);
+        assert_outside_fibers();
+        assert_eq!(set.resume(2), 2, "a parked fiber resumes where it switched");
+        assert_eq!(set.resume(1), 1);
+        assert_eq!(log.borrow().len(), 9, "finishing logs nothing more");
+        assert_outside_fibers();
+    }
+
+    /// A fiber whose first entry is a `switch_to` from a sibling, never a
+    /// `resume`, starts on a correctly aligned stack, and its finish brings
+    /// `resume` back with its own index while the sibling stays parked.
+    #[test]
+    fn a_fiber_first_entered_by_switch_to_starts_correctly() {
+        #[repr(align(16))]
+        struct Aligned([u8; 16]);
+        let log = Rc::new(RefCell::new(Vec::new()));
+        let mut set = FiberSet::new();
+        let l = Rc::clone(&log);
+        set.spawn(
+            64 * 1024,
+            Box::new(move || {
+                l.borrow_mut().push("0 starts");
+                FiberSet::switch_to(1);
+                l.borrow_mut().push("0 resumes");
+            }),
         );
+        let l = Rc::clone(&log);
+        set.spawn(
+            64 * 1024,
+            Box::new(move || {
+                // A misaligned entry stack shows up as a misaligned local:
+                // the compiler places it assuming `rsp % 16 == 8` at entry.
+                let local = Aligned([1; 16]);
+                let addr = std::hint::black_box(std::ptr::addr_of!(local) as usize);
+                assert_eq!(addr % 16, 0, "16-byte-aligned local at {addr:#x}");
+                assert_eq!(std::hint::black_box(&local).0, [1; 16]);
+                l.borrow_mut().push("1 runs");
+            }),
+        );
+        assert_eq!(set.resume(0), 1, "fiber 1 finished; fiber 0 is parked");
+        assert!(set.take_panic(1).is_none(), "fiber 1 ran cleanly");
+        assert_eq!(set.resume(0), 0);
+        assert_eq!(*log.borrow(), vec!["0 starts", "1 runs", "0 resumes"]);
+        assert_outside_fibers();
     }
 
     #[test]
     fn finished_fiber_reports_finished() {
         let mut set = FiberSet::new();
         set.spawn(64 * 1024, Box::new(|| {}));
-        assert_eq!(set.resume(0), Resumed::Finished);
+        assert_eq!(set.resume(0), 0);
         assert!(set.take_panic(0).is_none());
     }
 
+    /// A fiber that panics after direct switches brings `resume` back with
+    /// its own index and its payload; the fiber it left parked is unharmed.
     #[test]
     fn panic_is_captured_not_propagated() {
         let mut set = FiberSet::new();
         set.spawn(
             64 * 1024,
             Box::new(|| {
-                yield_to_scheduler();
+                FiberSet::switch_to(1);
+                FiberSet::switch_to(1);
+            }),
+        );
+        set.spawn(
+            64 * 1024,
+            Box::new(|| {
+                FiberSet::switch_to(0);
                 panic!("inside fiber");
             }),
         );
-        assert_eq!(set.resume(0), Resumed::Yielded);
-        assert_eq!(set.resume(0), Resumed::Finished);
-        let payload = set.take_panic(0).expect("payload captured");
+        assert_eq!(set.resume(0), 1, "the panicking fiber reports itself");
+        assert_outside_fibers();
+        let payload = set.take_panic(1).expect("payload captured");
         let msg = payload
             .downcast_ref::<&'static str>()
             .copied()
             .unwrap_or("?");
         assert_eq!(msg, "inside fiber");
+        assert_eq!(set.resume(0), 0, "the parked fiber still finishes");
+        assert!(set.take_panic(0).is_none());
     }
 
     #[test]
@@ -445,7 +548,7 @@ mod tests {
                 assert_eq!(burn(1000), 500_500);
             }),
         );
-        assert_eq!(set.resume(0), Resumed::Finished);
+        assert_eq!(set.resume(0), 0);
     }
 
     /// Recurse until the current frame sits `bytes` below `top`, then
@@ -474,7 +577,7 @@ mod tests {
                 out.set(dig(top, bytes, 0));
             }),
         );
-        assert_eq!(set.resume(0), Resumed::Finished);
+        assert_eq!(set.resume(0), 0);
         assert!(set.take_panic(0).is_none());
         frames.get()
     }

@@ -19,8 +19,11 @@
 //! Two interchangeable backends drive that schedule (see [`EngineKind`]):
 //!
 //! * **Fiber** (default where available): every processor is a stackful
-//!   fiber on one OS thread; a handoff is a ~50 ns user-space context
-//!   switch. See [`crate::fiber`].
+//!   fiber on one OS thread. A processor that is not the runner switches
+//!   straight to the fiber `next_runner` names: a handoff is one
+//!   user-space context switch (about 8 ns), with no scheduler in between.
+//!   The scheduler loop runs only to start the first processor and to
+//!   retire each one that finishes. See [`crate::fiber`].
 //! * **Threads**: every processor is an OS thread serialized under one
 //!   lock; a handoff is a condvar round-trip. Portable fallback, and the
 //!   reference the fiber backend is tested against — both consult the same
@@ -41,7 +44,7 @@ use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use ccsim_mem::Allocator;
 use ccsim_types::{Addr, MachineConfig, NodeId};
 
-use crate::fiber::{self, FiberSet, Resumed};
+use crate::fiber::{self, FiberSet};
 use crate::invariants::{InvariantMode, InvariantReport};
 use crate::machine::{Machine, StallKind};
 use crate::oracle::Component;
@@ -112,7 +115,6 @@ struct Inner {
     /// `active`: it answers [`Inner::next_runner`] without a scan.
     queue: RunQueue,
     comp: Vec<Component>,
-    quantum: u64,
     max_cycles: u64,
     /// Forward-progress watchdog threshold (cycles per single access).
     watchdog: u64,
@@ -137,7 +139,7 @@ impl Inner {
         #[cfg(debug_assertions)]
         assert_eq!(
             pick,
-            crate::runqueue::window_scan(&self.clocks, &self.active, self.quantum),
+            crate::runqueue::window_scan(&self.clocks, &self.active, self.queue.quantum()),
             "run queue diverged from the window rule"
         );
         pick
@@ -146,7 +148,7 @@ impl Inner {
     /// Re-key processor `p` after a turn may have advanced its clock.
     // ccsim-lint: allow(panic-path): per-proc slots are indexed by ids the spawn loop itself assigned, always in range
     fn requeue(&mut self, p: usize) {
-        self.queue.update(p, self.clocks[p], self.quantum);
+        self.queue.update(p, self.clocks[p]);
     }
 
     /// Processor `p`'s program returned or panicked: it never runs again.
@@ -254,9 +256,17 @@ impl Shared {
 
 thread_local! {
     /// Simulation state of the fiber scheduler driving this thread (null
-    /// outside a fiber-backend run). Published by `run_fiber` before every
-    /// resume, so nested simulations each see their own state.
+    /// outside a fiber-backend run). Published by `run_fiber` around every
+    /// resume and restored after it, so a simulation nested inside a
+    /// processor's program sees its own state and hands the outer one back.
     static FIBER_INNER: Cell<*mut Inner> = const { Cell::new(std::ptr::null_mut()) };
+}
+
+/// The state [`FIBER_INNER`] publishes; panics outside a fiber-backend run.
+fn fiber_inner() -> *mut Inner {
+    let p = FIBER_INNER.with(|c| c.get());
+    assert!(!p.is_null(), "fiber Proc used outside its simulation");
+    p
 }
 
 /// How a [`Proc`] reaches the engine.
@@ -301,21 +311,21 @@ impl Proc {
                 shared.wake_next(&g, me);
                 r
             }
-            // Yields until next_runner picks this processor; the cycle-limit
-            // assert below convicts any livelock.
-            // ccsim-lint: allow(unbounded-retry): bounded by simulation progress via the cycle limit
-            Backend::Fiber => loop {
-                let p = FIBER_INNER.with(|c| c.get());
-                assert!(!p.is_null(), "fiber Proc used outside its simulation");
-                // Safety: `run_fiber` keeps `Inner` alive on its stack for
+            Backend::Fiber => {
+                // SAFETY: `run_fiber` keeps `Inner` alive on its stack for
                 // the whole run and only one fiber executes at a time on
-                // this thread, so this is the only live reference.
-                let g = unsafe { &mut *p };
-                if g.next_runner() != Some(me) {
-                    debug_assert!(g.active[me], "inactive processor issued an operation");
-                    fiber::yield_to_scheduler();
-                    continue;
+                // this thread, so this is the only live reference. It ends
+                // before the switch, while other processors mutate `Inner`.
+                let next = unsafe { &*fiber_inner() }.next_runner();
+                if let Some(next) = next.filter(|&next| next != me) {
+                    // Whoever switches back hands over the turn: a fiber is
+                    // entered only when `next_runner` names it.
+                    FiberSet::switch_to(next);
                 }
+                // SAFETY: as above; this reference ends with the turn.
+                let g = unsafe { &mut *fiber_inner() };
+                debug_assert!(g.active[me], "inactive processor issued an operation");
+                debug_assert_eq!(g.next_runner(), Some(me), "resumed out of turn");
                 let r = f(g);
                 g.requeue(me);
                 assert!(
@@ -324,8 +334,8 @@ impl Proc {
                     self.id,
                     g.max_cycles
                 );
-                return r;
-            },
+                r
+            }
         }
     }
 
@@ -647,9 +657,8 @@ impl SimBuilder {
             clocks: vec![0; n],
             times: vec![ProcTimes::default(); n],
             active: (0..n).map(|i| i < num).collect(),
-            queue: RunQueue::new(n, num),
+            queue: RunQueue::new(n, num, cfg.schedule_quantum),
             comp: vec![Component::App; n],
-            quantum: cfg.schedule_quantum,
             max_cycles: self.max_cycles,
             watchdog: self.watchdog,
             recent: VecDeque::with_capacity(RECENT_WINDOW),
@@ -663,7 +672,7 @@ impl SimBuilder {
 }
 
 /// Drive the simulation on the fiber backend: all processors are stackful
-/// fibers on this thread, resumed in `next_runner` order.
+/// fibers on this thread, run in `next_runner` order.
 #[allow(clippy::type_complexity)]
 fn run_fiber(
     mut inner: Inner,
@@ -685,19 +694,17 @@ fn run_fiber(
     }
     let mut panics: Vec<Option<Box<dyn std::any::Any + Send>>> = Vec::new();
     panics.resize_with(num, || None);
+    // Processors hand the turn to each other directly; control comes back
+    // here only when one finishes, and the next runner is then resumed.
     while let Some(next) = inner.next_runner() {
         debug_assert!(next < fibers.len(), "next_runner beyond spawned programs");
-        // Re-publish before every resume so nested simulations restore the
-        // outer pointer when they finish.
         let prev = FIBER_INNER.with(|c| c.replace(&mut inner));
-        let resumed = fibers.resume(next);
+        let done = fibers.resume(next);
         FIBER_INNER.with(|c| c.set(prev));
-        if resumed == Resumed::Finished {
-            // Retire this processor — even on panic — so siblings can
-            // finish or fail fast, exactly like the thread backend.
-            inner.retire(next);
-            panics[next] = fibers.take_panic(next);
-        }
+        // Retire this processor — even on panic — so siblings can finish
+        // or fail fast, exactly like the thread backend.
+        inner.retire(done);
+        panics[done] = fibers.take_panic(done);
     }
     if let Some(payload) = panics.into_iter().flatten().next() {
         resume_unwind(payload);
@@ -1059,9 +1066,8 @@ mod tests {
             clocks: vec![0; 4],
             times: vec![ProcTimes::default(); 4],
             active: vec![true, true, true, false],
-            queue: RunQueue::new(4, 3),
+            queue: RunQueue::new(4, 3, 1),
             comp: vec![Component::App; 4],
-            quantum: 1,
             max_cycles: u64::MAX,
             watchdog: 10,
             recent: VecDeque::with_capacity(RECENT_WINDOW),
@@ -1222,30 +1228,141 @@ mod tests {
         }
     }
 
+    /// A workload panic on the fiber backend fails the run with the first
+    /// panic, with 32 processors: when it strikes, the processors before it
+    /// are parked inside direct switches and those after it have never
+    /// started. The panic leaves no thread-local behind: the next run on
+    /// the same thread equals a run on a fresh thread bit for bit.
     #[test]
     fn fiber_backend_propagates_workload_panics() {
         if !crate::fiber::supported() {
             return;
         }
-        let mut b = SimBuilder::new(cfg());
-        b.engine(EngineKind::Fiber);
-        let a = b.alloc().alloc_words(1);
-        b.spawn(move |p| {
-            p.store(a, 1);
-            panic!("workload bug");
-        });
-        // A second processor that would keep running; the run must still
-        // terminate and re-throw the first panic.
-        b.spawn(move |p| {
-            for _ in 0..10 {
-                p.fetch_add(a, 1);
-                p.busy(5);
+        const PANICS_AT: u64 = 5;
+        type Started = Arc<Mutex<Vec<u64>>>;
+        fn run(fail: bool, started: &Started, seen: &Started) -> RunStats {
+            let mut c = cfg();
+            c.nodes = 32;
+            let mut b = SimBuilder::new(c);
+            b.engine(EngineKind::Fiber);
+            let a = b.alloc().alloc_words(1);
+            for id in 0..32u64 {
+                let (started, seen) = (Arc::clone(started), Arc::clone(seen));
+                b.spawn(move |p| {
+                    started.lock().expect("log lock").push(id);
+                    if fail && id == PANICS_AT {
+                        p.store(a, 1);
+                        *seen.lock().expect("log lock") = started.lock().expect("log lock").clone();
+                        panic!("workload bug");
+                    }
+                    for _ in 0..10 {
+                        p.fetch_add(a, 1);
+                        p.busy(5);
+                    }
+                    // A later panic, in time and in processor order, that
+                    // the run must not report in place of the first.
+                    if fail && id == 20 {
+                        panic!("later workload bug");
+                    }
+                });
             }
-        });
-        let err =
-            catch_unwind(AssertUnwindSafe(|| b.run())).expect_err("workload panic must propagate");
+            b.run()
+        }
+        let (started, seen) = (Started::default(), Started::default());
+        let err = catch_unwind(AssertUnwindSafe(|| run(true, &started, &seen)))
+            .expect_err("workload panic must propagate");
         let msg = err.downcast_ref::<&'static str>().copied().unwrap_or("?");
         assert_eq!(msg, "workload bug");
+        assert_eq!(
+            *seen.lock().expect("log lock"),
+            (0..=PANICS_AT).collect::<Vec<_>>(),
+            "P0-P4 parked, P6-P31 not started when P5 panicked"
+        );
+        assert_eq!(
+            started.lock().expect("log lock").len(),
+            32,
+            "siblings ran on"
+        );
+        assert!(
+            FIBER_INNER.with(|c| c.get()).is_null(),
+            "FIBER_INNER restored"
+        );
+
+        let here = run(false, &Started::default(), &Started::default());
+        let fresh = std::thread::spawn(|| run(false, &Started::default(), &Started::default()))
+            .join()
+            .expect("fresh run");
+        assert_eq!(
+            here, fresh,
+            "the run after a panic matches a fresh thread's"
+        );
+    }
+
+    /// One processor runs a complete inner fiber simulation between two of
+    /// its own accesses, while its siblings are parked inside direct
+    /// switches. The inner run publishes its own state, fiber set and
+    /// running fiber in thread-locals and must hand the outer ones back:
+    /// the inner stats equal the same simulation run at top level, and the
+    /// outer stats equal the outer run without the nested one.
+    #[test]
+    fn a_simulation_nested_in_a_processor_matches_top_level_runs() {
+        if !crate::fiber::supported() {
+            return;
+        }
+        fn inner_sim() -> RunStats {
+            let mut c = MachineConfig::splash_baseline(ProtocolKind::Ls);
+            c.nodes = 6;
+            let mut b = SimBuilder::new(c);
+            b.engine(EngineKind::Fiber);
+            let ctr = b.alloc().alloc_words(1);
+            for id in 0..5u64 {
+                b.spawn(move |p| {
+                    for i in 0..30 + id {
+                        p.fetch_add(ctr, 1);
+                        p.busy(2 + (i * id) % 7);
+                    }
+                });
+            }
+            b.run()
+        }
+        fn outer_sim(nest: bool) -> (RunStats, Option<RunStats>) {
+            let mut b = SimBuilder::new(cfg());
+            b.engine(EngineKind::Fiber);
+            let ctr = b.alloc().alloc_words(1);
+            let data = b.alloc().alloc_words(64);
+            let nested = Arc::new(Mutex::new(None));
+            for id in 0..4u64 {
+                let nested = Arc::clone(&nested);
+                b.spawn(move |p| {
+                    for i in 0..20u64 {
+                        p.fetch_add(ctr, 1);
+                        if nest && id == 1 && i == 10 {
+                            *nested.lock().expect("result lock") = Some(inner_sim());
+                        }
+                        let a = Addr(data.0 + ((i * 7 + id * 13) % 64) * 8);
+                        let v = p.load(a);
+                        p.store(a, v + 1);
+                        p.busy(3 + (i % 5));
+                    }
+                });
+            }
+            let stats = b.run();
+            let inner = nested.lock().expect("result lock").take();
+            (stats, inner)
+        }
+        let (plain, none) = outer_sim(false);
+        assert!(none.is_none());
+        let (outer, inner) = outer_sim(true);
+        assert_eq!(outer, plain, "the nested run left the outer one intact");
+        assert_eq!(
+            inner.expect("the nested run finished"),
+            inner_sim(),
+            "a nested run equals the same run at top level"
+        );
+        assert!(
+            FIBER_INNER.with(|c| c.get()).is_null(),
+            "FIBER_INNER restored"
+        );
     }
 
     #[test]

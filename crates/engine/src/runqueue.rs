@@ -28,12 +28,19 @@ pub(crate) struct RunQueue {
     /// `2k + 1`, leaf `i` sits at `keys.len() + i`, and `win[1]` is the
     /// overall winner. `win[0]` is unused.
     win: Vec<u32>,
+    /// The scheduling window width, at least 1.
+    quantum: u64,
+    /// `log2(quantum)` when the quantum is a power of two, so a window
+    /// number is a shift rather than a division on every turn. Every paper
+    /// configuration has quantum 1.
+    shift: Option<u32>,
 }
 
 impl RunQueue {
-    /// A queue for `slots` processors, the first `active` of them runnable
-    /// at clock 0 and the rest idle.
-    pub(crate) fn new(slots: usize, active: usize) -> Self {
+    /// A queue for `slots` processors with windows `quantum` cycles wide,
+    /// the first `active` of them runnable at clock 0 and the rest idle.
+    pub(crate) fn new(slots: usize, active: usize, quantum: u64) -> Self {
+        assert!(quantum > 0, "the scheduling quantum is at least 1");
         let leaves = slots.max(1).next_power_of_two();
         let keys: Vec<u64> = (0..leaves)
             .map(|i| if i < active { 0 } else { IDLE })
@@ -42,7 +49,12 @@ impl RunQueue {
         for (i, w) in win[leaves..].iter_mut().enumerate() {
             *w = i as u32;
         }
-        let mut q = RunQueue { keys, win };
+        let mut q = RunQueue {
+            keys,
+            win,
+            quantum,
+            shift: quantum.is_power_of_two().then(|| quantum.trailing_zeros()),
+        };
         for k in (1..leaves).rev() {
             q.replay(k);
         }
@@ -60,8 +72,18 @@ impl RunQueue {
 
     /// Processor `p` now runs in window `clock / quantum`.
     #[inline]
-    pub(crate) fn update(&mut self, p: usize, clock: u64, quantum: u64) {
-        self.set(p, clock / quantum);
+    pub(crate) fn update(&mut self, p: usize, clock: u64) {
+        let window = match self.shift {
+            Some(shift) => clock >> shift,
+            None => clock / self.quantum,
+        };
+        self.set(p, window);
+    }
+
+    /// The window width the queue was built with.
+    #[cfg(any(test, debug_assertions))]
+    pub(crate) fn quantum(&self) -> u64 {
+        self.quantum
     }
 
     /// Processor `p` retired; it is never picked again.
@@ -114,13 +136,13 @@ mod tests {
 
     #[test]
     fn picks_lowest_id_in_the_earliest_window() {
-        let mut q = RunQueue::new(3, 3);
+        let mut q = RunQueue::new(3, 3, 4);
         assert_eq!(q.first(), Some(0));
-        q.update(0, 10, 4); // window 2
-        q.update(1, 9, 4); // window 2
-        q.update(2, 7, 4); // window 1
+        q.update(0, 10); // window 2
+        q.update(1, 9); // window 2
+        q.update(2, 7); // window 1
         assert_eq!(q.first(), Some(2));
-        q.update(2, 8, 4); // window 2: tie, lowest id wins
+        q.update(2, 8); // window 2: tie, lowest id wins
         assert_eq!(q.first(), Some(0));
         q.retire(0);
         assert_eq!(q.first(), Some(1));
@@ -131,15 +153,15 @@ mod tests {
 
     #[test]
     fn idle_slots_and_padding_never_run() {
-        let q = RunQueue::new(6, 0);
+        let q = RunQueue::new(6, 0, 1);
         assert_eq!(q.first(), None);
-        let mut q = RunQueue::new(6, 2);
+        let mut q = RunQueue::new(6, 2, 1);
         assert_eq!(q.first(), Some(0));
         q.retire(0);
         assert_eq!(q.first(), Some(1));
         q.retire(1);
         assert_eq!(q.first(), None, "slots 2..6 and padding 6..8 are idle");
-        assert_eq!(RunQueue::new(1, 1).first(), Some(0));
+        assert_eq!(RunQueue::new(1, 1, 1).first(), Some(0));
     }
 
     /// Random clocks, active sets and quanta: after every update the run
@@ -156,7 +178,7 @@ mod tests {
             let spawned = g.urange(0, n + 1);
             let mut clocks = vec![0u64; n];
             let mut active: Vec<bool> = (0..n).map(|p| p < spawned).collect();
-            let mut q = RunQueue::new(n, spawned);
+            let mut q = RunQueue::new(n, spawned, quantum);
             assert_eq!(q.first(), window_scan(&clocks, &active, quantum));
             for _ in 0..200 {
                 let p = g.urange(0, n);
@@ -174,7 +196,7 @@ mod tests {
                     } else {
                         g.below(1 << 20)
                     };
-                    q.update(p, clocks[p], quantum);
+                    q.update(p, clocks[p]);
                 }
                 assert_eq!(
                     q.first(),
